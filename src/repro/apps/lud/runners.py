@@ -173,6 +173,7 @@ class _LudController(Actor):
             received = self.din.receive()
             data = received.value if self.movable else received
         self.m = data["m"]
+        data["piv"].discard_device()
         self.stop()
 
 
@@ -191,6 +192,7 @@ def run_actors(
     stage.run(600.0)
     assert control.m is not None
     m = control.m.host()
+    control.m.discard_device()  # a copy kept warm by the optimiser
     return RunOutcome(
         checksum(m),
         merge_ledgers(collect_runtime_ledger()),

@@ -40,8 +40,7 @@ changing anything observable:
   rounds at the compacted width, scattering results back to full width
   on exit.  Charging, mask subtraction and the iteration cap are
   bit-identical to the full-width path; the thresholds are read at run
-  time (see :func:`repro.opencl.dispatch.configure`), so cached
-  kernels honour later configuration changes.
+  time, so cached kernels honour later changes to them.
 * **Common-subexpression elimination** — pure ``ir.Expr`` subtrees are
   hashed per masked region at codegen time and repeated occurrences
   (e.g. a loop condition's ``x*x + y*y`` reused in its body) become
@@ -71,9 +70,7 @@ same-address stores from multiple work-items resolve by numpy
 fancy-assignment order, and statements between barriers execute in
 lock-step across lanes rather than item-by-item.
 
-Everything here is a wall-clock optimisation only; when numpy is not
-installed the module degrades to ``AVAILABLE = False`` and the scalar
-engine carries all execution.
+Everything here is a wall-clock optimisation only.
 """
 
 from __future__ import annotations
@@ -81,6 +78,8 @@ from __future__ import annotations
 import math
 import threading
 from typing import Any, Optional, Sequence
+
+import numpy as _np
 
 from ..errors import KirRuntimeError
 from . import ir
@@ -97,13 +96,6 @@ from .pycodegen import (
     _used_workitem_vars,
 )
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
-
-AVAILABLE = _np is not None
-
 #: Masked-loop iteration budget per loop entry.  A loop still live past
 #: this many iterations raises :class:`VecIterationCap`; the dispatcher
 #: restores written buffers and re-runs on the scalar warp-fold (which
@@ -117,9 +109,8 @@ class VecIterationCap(Exception):
 
 #: Live-lane density below which a compactible masked loop compresses
 #: to its active lanes.  ``0.0`` disables compaction; ``1.0`` compacts
-#: as soon as any lane has exited.  Mutated via
-#: :func:`repro.opencl.dispatch.configure`; read at run time by
-#: generated kernels, so the setting applies to already-compiled code.
+#: as soon as any lane has exited.  Read at run time by generated
+#: kernels, so a changed setting applies to already-compiled code.
 COMPACT_DENSITY = 0.5
 
 #: How many loop rounds pass between density checks (the first round of
@@ -311,9 +302,8 @@ def _should_compact(rounds: int, act: Any) -> bool:
 
     Checked at the top of every loop round: fires every
     :data:`COMPACT_CHECK_EVERY` rounds when the live-lane density of
-    *act* has dropped below :data:`COMPACT_DENSITY`.  Reads the module
-    configuration at call time so
-    :func:`repro.opencl.dispatch.configure` affects kernels that were
+    *act* has dropped below :data:`COMPACT_DENSITY`.  Reads both
+    thresholds at call time, so they also govern kernels that were
     compiled (and cached process-wide) earlier.
     """
     if COMPACT_DENSITY <= 0.0:
@@ -407,10 +397,10 @@ def _namespace_base() -> dict[str, Any]:
         "__vload2": _vload2,
         "__vstore": _vstore,
         "__vstore2": _vstore2,
-        "__vnot": None if _np is None else _np.logical_not,
-        "__vand": None if _np is None else _np.logical_and,
-        "__vor": None if _np is None else _np.logical_or,
-        "__vsel": None if _np is None else _np.where,
+        "__vnot": _np.logical_not,
+        "__vand": _np.logical_and,
+        "__vor": _np.logical_or,
+        "__vsel": _np.where,
         "__kre": KirRuntimeError,
         "__CAP": LOOP_ITER_CAP,
         "__vcaperr": VecIterationCap,
@@ -669,8 +659,6 @@ def eligibility(module: ir.Module, fn: ir.Function) -> Optional[str]:
     The reason string becomes the ``dispatch.fallback.<reason>`` trace
     counter suffix when a dispatch is demoted to a scalar tier.
     """
-    if not AVAILABLE:
-        return "no-numpy"
     variant = _variant_vars(module, fn)
     expr_variant = _make_expr_variant(module, variant)
 
@@ -1624,7 +1612,7 @@ def fold_group_warps(
 ) -> list[list[int]]:
     """Reduce a per-item op vector to per-group warp maxima.
 
-    Reproduces ``costmodel._group_warp_costs`` exactly: items are
+    Reproduces ``costmodel.group_warp_costs`` exactly: items are
     regrouped from linear (dim0-fastest) order into intra-group arrival
     order, chunked into warps of *simd*, and reduced by max.  The
     short-warp tail pads with zeros, which cannot change a maximum of
@@ -1713,8 +1701,6 @@ def vectorize_kernel_info(
     for an unexpected compilation failure — vectorisation is purely an
     optimisation, so the scalar engine silently carries execution).
     """
-    if not AVAILABLE:
-        return None, "no-numpy"
     try:
         reason = eligibility(module, fn)
         if reason is not None:

@@ -603,8 +603,6 @@ def _vectorize(module: ir.Module, fn: ir.Function):
     """
     from . import npcodegen
 
-    if not npcodegen.AVAILABLE:
-        return None, "no-numpy"
     return npcodegen.vectorize_kernel_info(module, fn)
 
 

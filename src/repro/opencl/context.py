@@ -407,7 +407,10 @@ class Context:
         new epoch at origin 0), so the next run's ``elapsed_ns``
         measures that run alone.  Queue-local schedule state — and the
         ``queue.overlap_ns`` counters derived from it — is untouched;
-        live queues re-anchor their composed placement lazily.
+        live queues re-anchor their composed placement lazily.  Their
+        event histories are dropped: they record the run that is
+        ending, and long-lived queues would otherwise grow without
+        bound.
 
         Graph-level optimiser state resets too: kernels still pending
         on this context's queues flush into the *old* ledger (they were
@@ -417,6 +420,8 @@ class Context:
         """
         if self._fusion_pending:
             self.flush_pending()
+        for queue in self._queues:
+            queue.events.clear()
         self.clock.timeline.reset()
         self.ledger = CostLedger()
         self.residency_epoch += 1

@@ -27,7 +27,7 @@ nanoseconds never depend on the tier chosen.
 Every demotion from the vectorised tier is counted on the active tracer
 as ``dispatch.fallback`` plus ``dispatch.fallback.<reason>`` (reasons:
 ``while-loop``, ``barrier``, ``user-call``, ``iter-cap``,
-``small-ndrange``, ``no-numpy``, … — see
+``small-ndrange``, … — see
 :func:`repro.kir.npcodegen.eligibility`), so BENCH regressions are
 diagnosable instead of silent.  Kernels with masked loops carry a
 runtime iteration cap; hitting it restores the pre-dispatch buffer
@@ -45,11 +45,6 @@ The vectorised tier's two loop optimisations are observable here too:
   escape test shared between loop condition and body), counted per
   successful vectorised dispatch.
 
-:func:`configure` surfaces the compaction policy knobs
-(``compact_density``, ``compact_check_every``) without importing the
-codegen module; settings apply to already-compiled kernels because the
-generated code reads them at run time.
-
 The module also houses the **multi-device split** machinery
 (:func:`split_share_counts`, :func:`multi_device_kernel_ns`) used by
 :meth:`repro.opencl.context.Context.enqueue_nd_range`: one NDRange is
@@ -62,7 +57,7 @@ only one execution ever happens.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..errors import CLInvalidValue
 from .. import kir
@@ -71,7 +66,7 @@ from ..trace import current_tracer
 from . import faults as _faults
 from . import fusion as _fusion
 from .costmodel import DeviceSpec, group_warp_costs
-from .memory import HAVE_NUMPY, Buffer
+from .memory import Buffer
 
 #: Below this many work-items the scalar warp-fold runner beats the
 #: numpy tier on wall-clock (array setup dominates tiny dispatches).
@@ -97,24 +92,12 @@ _UNSET = object()
 
 def configure(
     *,
-    compact_density: Optional[float] = None,
-    compact_check_every: Optional[int] = None,
     faults=_UNSET,
     retry=_UNSET,
     fusion=_UNSET,
 ) -> dict:
-    """Adjust the vectorised tier's lane-compaction policy, install or
-    clear the runtime-wide fault plan, and toggle the graph-level
-    dispatch optimiser.
-
-    ``compact_density`` is the live-lane fraction below which a masked
-    loop gathers itself to its active lanes (``0.0`` disables
-    compaction entirely, ``1.0`` compacts as soon as any lane exits);
-    ``compact_check_every`` is how many loop rounds pass between density
-    checks.  Both apply immediately to already-compiled kernels (the
-    generated code reads them at run time), and outputs plus priced
-    ledger totals are identical for every setting — only host wall-clock
-    changes.
+    """Install or clear the runtime-wide fault plan, and toggle the
+    graph-level dispatch optimiser.
 
     ``faults`` installs a :class:`repro.opencl.faults.FaultPlan` (or
     ``None`` to disable injection); ``retry`` installs a
@@ -129,20 +112,6 @@ def configure(
     to the unoptimised substrate.  See "Graph-level optimisation" in
     docs/ARCHITECTURE.md.  Returns the current settings as a dict.
     """
-    if compact_density is not None:
-        density = float(compact_density)
-        if not 0.0 <= density <= 1.0:
-            raise CLInvalidValue(
-                f"compact_density must be in [0.0, 1.0], got {compact_density!r}"
-            )
-        _npc.COMPACT_DENSITY = density
-    if compact_check_every is not None:
-        every = int(compact_check_every)
-        if every < 1:
-            raise CLInvalidValue(
-                f"compact_check_every must be >= 1, got {compact_check_every!r}"
-            )
-        _npc.COMPACT_CHECK_EVERY = every
     if faults is not _UNSET:
         if faults is not None and not isinstance(faults, _faults.FaultPlan):
             raise CLInvalidValue(
@@ -158,8 +127,6 @@ def configure(
     if fusion is not _UNSET:
         _fusion.set_enabled(bool(fusion))
     return {
-        "compact_density": _npc.COMPACT_DENSITY,
-        "compact_check_every": _npc.COMPACT_CHECK_EVERY,
         "faults": _faults.active_plan(),
         "retry": _faults.retry_policy(),
         "fusion": _fusion.enabled(),
@@ -200,10 +167,8 @@ def _count_cse_hits(hits: int) -> None:
         tracer.count("dispatch.cse.hits", hits)
 
 
-def _fallback_reason(runner: "kir.KernelRunner", nitems: int) -> str:
+def _fallback_reason(runner: "kir.KernelRunner") -> str:
     """Why this dispatch is not taking the vectorised tier."""
-    if not HAVE_NUMPY:
-        return "no-numpy"
     if runner.vec is None:
         return runner.vec_reason or "ineligible"
     return "small-ndrange"
@@ -248,8 +213,8 @@ def dispatch_kernel_ns(
     nitems = 1
     for s in gsz:
         nitems *= s
-    if runner.vec is None or not HAVE_NUMPY or nitems < VEC_MIN_ITEMS:
-        _count_fallback(_fallback_reason(runner, nitems))
+    if runner.vec is None or nitems < VEC_MIN_ITEMS:
+        _count_fallback(_fallback_reason(runner))
         return _scalar_kernel_ns(runner, spec, raw_args, gsz, lsz)
     plan = _faults.active_plan()
     if plan is not None:

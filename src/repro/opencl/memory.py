@@ -20,16 +20,11 @@ from __future__ import annotations
 import itertools
 from typing import Optional, Sequence
 
+import numpy as _np
+
 from ..errors import CLInvalidValue, CLMemObjectReleased
 from .context import Context
 from .costmodel import ELEMENT_BYTES
-
-try:  # the vectorised execution tier is optional
-    import numpy as _np
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 _buffer_ids = itertools.count(1)
 
@@ -43,8 +38,7 @@ _ZERO = {"float": 0.0, "int": 0, "bool": False}
 
 
 def np_dtype(dtype: str):
-    """NumPy dtype for a buffer element type (requires numpy)."""
-    assert _np is not None
+    """NumPy dtype for a buffer element type."""
     return {"float": _np.float64, "int": _np.int64, "bool": _np.bool_}[dtype]
 
 
@@ -144,7 +138,6 @@ class Buffer:
         """The contents as a NumPy array (authoritative until the list
         tier is touched).  Callers that write through the view must call
         :meth:`mark_np_written`."""
-        assert _np is not None
         if self.context._fusion_pending:
             self.context.flush_pending()
         if not self._np_fresh:

@@ -17,14 +17,28 @@ Queues come in the two OpenCL execution modes:
 Commands *execute* synchronously at enqueue time in both modes, so
 buffer contents — and the measured warp maxima the cost model prices —
 are bit-identical regardless of mode; the scheduler only decides where
-each command lands on the queue's schedule timeline.  Each command
-returns an :class:`Event` carrying OpenCL-style profiling timestamps
-(aggregated by the harness into the Figure 3 segments, identically in
-both modes) plus its schedule placement (``sched_start_ns`` /
-``sched_end_ns``), from which :attr:`CommandQueue.makespan_ns` and the
-``queue.overlap_ns`` trace counter are derived.  See
-docs/ARCHITECTURE.md ("The queue scheduling model") for the full
-determinism argument.
+each command lands.  Each command returns an :class:`Event` carrying
+OpenCL-style profiling timestamps (aggregated by the harness into the
+Figure 3 segments, identically in both modes) plus its placement on two
+schedule axes:
+
+* the **queue-local** axis (``sched_start_ns`` / ``sched_end_ns``,
+  origin 0 at queue creation), from which
+  :attr:`CommandQueue.makespan_ns` and the ``queue.overlap_ns`` trace
+  counter are derived;
+* the **composed** end-to-end axis (``e2e_start_ns`` / ``e2e_end_ns``)
+  shared with host work and every other queue of the clock (see
+  :class:`~repro.opencl.costmodel.ScheduleTimeline`).
+
+One rule places a command on either axis: it starts at the latest of
+the axis' lower bound, the ends of its dependencies on that axis, and
+the free time of its engine.  The lower bound is the fence (the last
+barrier or ``finish``) on the queue-local axis, and the fence or the
+host cursor at enqueue, whichever is later, on the composed axis.  An
+in-order queue is a single engine with no dependencies; an out-of-order
+queue has one engine per :data:`ENGINE_OF` class, and its dependencies
+are the wait list plus the inferred hazards.  See docs/ARCHITECTURE.md
+("The queue scheduling model") for the full determinism argument.
 """
 
 from __future__ import annotations
@@ -100,16 +114,14 @@ class Event:
         category: str,
         queued_ns: float,
         duration_ns: float,
-        submit_ns: Optional[float] = None,
-        start_ns: Optional[float] = None,
     ) -> None:
         self.id = next(_event_ids)
         self.command = command
         self.category = category  # 'h2d' | 'd2h' | 'kernel'
         self.queued_ns = queued_ns
-        self.submit_ns = queued_ns if submit_ns is None else submit_ns
-        self.start_ns = self.submit_ns if start_ns is None else start_ns
-        self.end_ns = self.start_ns + duration_ns
+        self.submit_ns = queued_ns
+        self.start_ns = queued_ns
+        self.end_ns = queued_ns + duration_ns
         #: placement on the owning queue's schedule timeline
         self.sched_start_ns = 0.0
         self.sched_end_ns = duration_ns
@@ -168,6 +180,77 @@ class _PendingKernel:
         self.event = event
 
 
+class _Axis:
+    """Schedule state of one axis of a command queue.
+
+    A queue keeps two axes: the queue-local one (origin 0 at queue
+    creation, stamped on ``Event.sched_*``) and the composed one (the
+    clock's shared-origin end-to-end timeline, stamped on
+    ``Event.e2e_*``).  Both follow the one placement rule,
+    :meth:`place`; they differ only in the lower bound the queue passes
+    in, and in the composed axis' *epoch*: when the timeline restarts
+    (``Context.reset_ledger``) the composed axis re-anchors by
+    :meth:`reset`, and events placed in an older epoch end at 0.0 on it.
+    """
+
+    __slots__ = ("composed", "epoch", "engine_free", "fence", "max_end")
+
+    def __init__(self, composed: bool, epoch: int = 0) -> None:
+        self.composed = composed
+        self.reset(epoch)
+
+    def reset(self, epoch: int) -> None:
+        """Drop every placement: all engines free at origin 0."""
+        self.epoch = epoch
+        #: engine -> end of its latest command (in-order: one engine)
+        self.engine_free: dict[str, float] = {}
+        #: schedule time all post-barrier/finish commands must respect
+        self.fence = 0.0
+        #: end of the latest-finishing command (the makespan)
+        self.max_end = 0.0
+
+    def end_of(self, event: Event) -> float:
+        """*event*'s end on this axis (0.0 from a stale composed epoch)."""
+        if not self.composed:
+            return event.sched_end_ns
+        return event.e2e_end_ns if event._e2e_epoch == self.epoch else 0.0
+
+    def place(
+        self,
+        events: Sequence[Event],
+        deps: Iterable[Event],
+        lower: float,
+        engine: Optional[str] = None,
+        ns: float = 0.0,
+    ) -> tuple[float, float]:
+        """Place one command, stamping each of its *events*.
+
+        It becomes ready at the latest of *lower* and the ends of its
+        *deps*, and starts once its *engine* is free as well; a
+        zero-duration sync event passes no engine and occupies nothing.
+        Returns ``(ready, start)``.
+        """
+        ready = lower
+        for dep in deps:
+            end = self.end_of(dep)
+            if end > ready:
+                ready = end
+        start = ready
+        if engine is not None:
+            start = max(ready, self.engine_free.get(engine, 0.0))
+            self.engine_free[engine] = start + ns
+            self.max_end = max(self.max_end, start + ns)
+        for event in events:
+            if self.composed:
+                event.e2e_start_ns = start
+                event.e2e_end_ns = start + ns
+                event._e2e_epoch = self.epoch
+            else:
+                event.sched_start_ns = start
+                event.sched_end_ns = start + ns
+        return ready, start
+
+
 class CommandQueue:
     """A command queue bound to one device of a context.
 
@@ -192,37 +275,24 @@ class CommandQueue:
         self.out_of_order = bool(out_of_order)
         self.events: list[Event] = []
         self.released = False
-        # -- schedule state (all timestamps queue-local, origin 0) ----
         #: what an in-order drain of the same commands would take
         self._serial_end = 0.0
-        #: end of the latest-finishing scheduled command (the makespan)
-        self._sched_max_end = 0.0
-        #: per-engine availability (out-of-order mode)
-        self._engine_free: dict[str, float] = {}
+        #: queue-local schedule axis (origin 0 at queue creation)
+        self._local = _Axis(composed=False)
+        #: composed end-to-end axis, re-anchored lazily at each new
+        #: timeline epoch (Context.reset_ledger between runs)
+        self._composed = _Axis(
+            composed=True, epoch=context.clock.timeline.epoch
+        )
         #: buffer id -> event that last wrote it
         self._last_writer: dict[int, Event] = {}
         #: buffer id -> events that read it since its last write
         self._last_readers: dict[int, list[Event]] = {}
-        #: schedule time all post-barrier/finish commands must respect
-        self._fence_ns = 0.0
         #: overlap already reported to the tracer counter
         self._overlap_reported = 0.0
         #: kernel dispatch deferred by the graph-level optimiser
         #: (always None while fusion is disabled)
         self._pending: Optional[_PendingKernel] = None
-        # -- composed (end-to-end) schedule state, shared-origin ------
-        #: composed-timeline epoch the state below belongs to; when the
-        #: timeline resets (Context.reset_ledger between runs) the queue
-        #: re-anchors lazily at the new origin
-        self._e2e_epoch = context.clock.timeline.epoch
-        #: end of the previous command on the composed axis (in-order)
-        self._e2e_prev_end = 0.0
-        #: per-engine availability on the composed axis (out-of-order)
-        self._e2e_engine_free: dict[str, float] = {}
-        #: composed-axis fence (barrier/finish ordering point)
-        self._e2e_fence = 0.0
-        #: end of the latest-finishing command on the composed axis
-        self._e2e_max_end = 0.0
         context._queues.append(self)
 
     # -- schedule -----------------------------------------------------------
@@ -230,7 +300,7 @@ class CommandQueue:
     @property
     def makespan_ns(self) -> float:
         """Length of the queue's schedule (max command end, origin 0)."""
-        return self._sched_max_end
+        return self._local.max_end
 
     @property
     def serial_makespan_ns(self) -> float:
@@ -240,116 +310,73 @@ class CommandQueue:
     @property
     def overlap_ns(self) -> float:
         """Schedule time saved vs an in-order drain (0 when in-order)."""
-        return max(0.0, self._serial_end - self._sched_max_end)
+        return max(0.0, self._serial_end - self._local.max_end)
 
     @property
     def e2e_makespan_ns(self) -> float:
         """End of this queue's schedule on the composed end-to-end axis
         (0.0 when nothing was placed since the timeline's last epoch)."""
-        if self._e2e_epoch != self.context.clock.timeline.epoch:
+        if self._composed.epoch != self.context.clock.timeline.epoch:
             return 0.0
-        return self._e2e_max_end
+        return self._composed.max_end
 
-    def _e2e_anchor(self, epoch: int) -> None:
-        """Re-anchor composed-axis state at a new timeline epoch.
-
-        ``Context.reset_ledger`` restarts the composed timeline at
-        origin 0; composed coordinates recorded before the reset are
-        stale, so the per-engine availability, fence and makespan drop
-        back to the origin.  Queue-local schedule state (serial end,
-        makespan, ``overlap_ns``) deliberately survives: it describes
-        the queue, not the measured run.
+    def _axes(self) -> tuple[tuple[_Axis, float], tuple[_Axis, float]]:
+        """Both schedule axes, each with its lower bound for a command
+        enqueued now: the fence locally; the fence and the host cursor
+        on the composed axis (a command cannot start before the host
+        issued it).  The composed axis re-anchors first if the timeline
+        started a new epoch since its last placement.
         """
-        if self._e2e_epoch != epoch:
-            self._e2e_prev_end = 0.0
-            self._e2e_engine_free.clear()
-            self._e2e_fence = 0.0
-            self._e2e_max_end = 0.0
-            self._e2e_epoch = epoch
-
-    @staticmethod
-    def _e2e_end_of(event: Event, epoch: int) -> float:
-        """*event*'s composed end, or 0.0 when from a stale epoch."""
-        return event.e2e_end_ns if event._e2e_epoch == epoch else 0.0
+        timeline = self.context.clock.timeline
+        composed = self._composed
+        if composed.epoch != timeline.epoch:
+            composed.reset(timeline.epoch)
+        return (
+            (self._local, self._local.fence),
+            (composed, max(timeline.host_pos_ns, composed.fence)),
+        )
 
     def _schedule(
         self,
-        event: Event,
+        events: Sequence[Event],
         command: str,
         ns: float,
         reads: Iterable[int],
         writes: Iterable[int],
         wait_for: Optional[Sequence[Event]],
     ) -> None:
-        """Place *event* on both schedule timelines and update hazards.
+        """Place one command on both schedule axes and update hazards.
 
-        Queue-local axis — in-order: chained after the previous
-        command; out-of-order: placed at max(engine availability,
-        dependency ends, fence), where dependencies are the explicit
-        *wait_for* events plus the inferred RAW/WAR/WAW hazards on
-        *reads*/*writes*.
-
-        Composed axis — the same rules with composed coordinates, plus
-        one extra lower bound: the host cursor at enqueue time (a
-        command cannot start before the host issued it).
+        In-order, the queue is a single engine and the command has no
+        dependencies: it chains after the previous one.  Out-of-order,
+        each engine chains separately and the dependencies are the
+        explicit *wait_for* events plus the inferred RAW/WAR/WAW hazards
+        on *reads*/*writes*.
         """
-        timeline = self.context.clock.timeline
-        epoch = timeline.epoch
-        self._e2e_anchor(epoch)
-        release = timeline.host_pos_ns
-        event._e2e_epoch = epoch
-
         serial_start = self._serial_end
         self._serial_end = serial_start + ns
+        engine, deps = "queue", ()
+        if self.out_of_order:
+            engine = ENGINE_OF[command]
+            deps = list(wait_for or ())
+            for buf_id in reads:
+                writer = self._last_writer.get(buf_id)
+                if writer is not None:
+                    deps.append(writer)
+            for buf_id in writes:
+                writer = self._last_writer.get(buf_id)
+                if writer is not None:
+                    deps.append(writer)
+                deps.extend(self._last_readers.get(buf_id, ()))
+        (local, lower), (composed, e2e_lower) = self._axes()
+        ready, start = local.place(events, deps, lower, engine, ns)
+        _, e2e_start = composed.place(events, deps, e2e_lower, engine, ns)
+        self.context.clock.timeline.place(
+            TIMELINE_KIND_OF[events[-1].category], e2e_start, e2e_start + ns
+        )
         if not self.out_of_order:
-            event.sched_start_ns = serial_start
-            event.sched_end_ns = serial_start + ns
-            self._sched_max_end = self._serial_end
-            e2e_start = max(release, self._e2e_prev_end)
-            e2e_end = e2e_start + ns
-            event.e2e_start_ns = e2e_start
-            event.e2e_end_ns = e2e_end
-            self._e2e_prev_end = e2e_end
-            self._e2e_max_end = max(self._e2e_max_end, e2e_end)
-            timeline.place(
-                TIMELINE_KIND_OF[event.category], e2e_start, e2e_end
-            )
             return
-
-        ready = self._fence_ns
-        e2e_ready = max(release, self._e2e_fence)
-        if wait_for:
-            for dep in wait_for:
-                ready = max(ready, dep.sched_end_ns)
-                e2e_ready = max(e2e_ready, self._e2e_end_of(dep, epoch))
-        for buf_id in reads:
-            writer = self._last_writer.get(buf_id)
-            if writer is not None:
-                ready = max(ready, writer.sched_end_ns)
-                e2e_ready = max(e2e_ready, self._e2e_end_of(writer, epoch))
-        for buf_id in writes:
-            writer = self._last_writer.get(buf_id)
-            if writer is not None:
-                ready = max(ready, writer.sched_end_ns)
-                e2e_ready = max(e2e_ready, self._e2e_end_of(writer, epoch))
-            for reader in self._last_readers.get(buf_id, ()):
-                ready = max(ready, reader.sched_end_ns)
-                e2e_ready = max(e2e_ready, self._e2e_end_of(reader, epoch))
-        engine = ENGINE_OF[command]
-        start = max(ready, self._engine_free.get(engine, 0.0))
-        end = start + ns
-        event.sched_start_ns = start
-        event.sched_end_ns = end
-        self._engine_free[engine] = end
-        self._sched_max_end = max(self._sched_max_end, end)
-        e2e_start = max(e2e_ready, self._e2e_engine_free.get(engine, 0.0))
-        e2e_end = e2e_start + ns
-        event.e2e_start_ns = e2e_start
-        event.e2e_end_ns = e2e_end
-        self._e2e_engine_free[engine] = e2e_end
-        self._e2e_max_end = max(self._e2e_max_end, e2e_end)
-        timeline.place(TIMELINE_KIND_OF[event.category], e2e_start, e2e_end)
-
+        event = events[-1]
         for buf_id in writes:
             self._last_writer[buf_id] = event
             self._last_readers[buf_id] = []
@@ -379,68 +406,45 @@ class CommandQueue:
     def _sync_schedule(self) -> None:
         """Fence the schedule: later commands start after everything
         scheduled so far (out-of-order ``finish``/barrier semantics)."""
-        self._fence_ns = max(self._fence_ns, self._sched_max_end)
-        self._e2e_fence = max(self._e2e_fence, self._e2e_max_end)
+        for axis, _ in self._axes():
+            axis.fence = max(axis.fence, axis.max_end)
         self._last_writer.clear()
         self._last_readers.clear()
 
     # -- helpers -----------------------------------------------------------
 
-    def _record(
-        self,
-        command: str,
-        category: str,
-        ns: float,
-        reads: Iterable[int] = (),
-        writes: Iterable[int] = (),
-        wait_for: Optional[Sequence[Event]] = None,
-        **span_args,
-    ) -> Event:
-        """Price one command: schedule it, stamp an Event and charge the
-        context ledger/clock (the cost totals never depend on mode)."""
-        queued = self.context.clock.now_ns
-        start = self.device.schedule_ns(queued, ns)
-        event = Event(
-            command, category, queued, ns, submit_ns=queued, start_ns=start
-        )
-        self._schedule(event, command, ns, reads, writes, wait_for)
-        self.context.charge(
-            category,
-            ns,
-            name=command,
-            track=f"device/{self.device.name}",
-            ts_ns=start,
-            args=dict(
-                span_args,
-                queued_ns=queued,
-                queue_delay_ns=event.queue_delay_ns,
-            ),
-            placed=True,
-        )
-        self.events.append(event)
-        return event
-
     def _stamp_and_charge(
         self,
-        event: Event,
         command: str,
         category: str,
         ns: float,
         reads: Iterable[int] = (),
         writes: Iterable[int] = (),
         wait_for: Optional[Sequence[Event]] = None,
+        event: Optional[Event] = None,
+        producer: Optional[Event] = None,
         **span_args,
     ) -> Event:
-        """Like :meth:`_record`, but for a pre-existing (deferred)
-        *event*: the command was enqueued earlier and is priced now, so
-        QUEUED keeps its original timestamp while SUBMIT is the flush
-        instant."""
+        """Price one command: stamp its Event, schedule it and charge the
+        context ledger/clock (the cost totals never depend on mode).
+
+        *event* is the command's own Event when it was deferred: it was
+        enqueued earlier and is priced now, so QUEUED keeps its original
+        timestamp while SUBMIT is this instant.  Without one, a fresh
+        Event is QUEUED now.  *producer* is the deferred Event of a
+        fused producer: its work ran inside this launch, so it takes the
+        same placement.
+        """
         submit = self.context.clock.now_ns
         start = self.device.schedule_ns(submit, ns)
-        event.submit_ns = submit
-        event.start_ns = start
-        event.end_ns = start + ns
-        self._schedule(event, command, ns, reads, writes, wait_for)
+        if event is None:
+            event = Event(command, category, submit, ns)
+        events = (event,) if producer is None else (producer, event)
+        for stamped in events:
+            stamped.submit_ns = submit
+            stamped.start_ns = start
+            stamped.end_ns = start + ns
+        self._schedule(events, command, ns, reads, writes, wait_for)
         self.context.charge(
             category,
             ns,
@@ -454,7 +458,7 @@ class CommandQueue:
             ),
             placed=True,
         )
-        self.events.append(event)
+        self.events.extend(events)
         return event
 
     def _mark_kernel_written(self, entries: Sequence, writes: Iterable[int]) -> None:
@@ -476,21 +480,26 @@ class CommandQueue:
         gsz: Sequence[int],
         lsz: Sequence[int],
         wait_for: Optional[Sequence[Event]],
+        event: Optional[Event] = None,
+        producer: Optional[Event] = None,
         **span_args,
     ) -> Event:
         """Execute, price and record one kernel launch (shared tail of
-        the normal, fused and flush dispatch paths)."""
+        the normal, fused and flush dispatch paths; *event* and
+        *producer* as in :meth:`_stamp_and_charge`)."""
         ns = dispatch_kernel_ns(runner, self.device.spec, entries, gsz, lsz)
         self._mark_kernel_written(entries, writes)
         with self.context.ledger._lock:
             self.context.ledger.kernel_launches += 1
-        return self._record(
+        return self._stamp_and_charge(
             NDRANGE_KERNEL,
             "kernel",
             ns,
             reads=reads,
             writes=writes,
             wait_for=wait_for,
+            event=event,
+            producer=producer,
             kernel=name,
             global_size=list(gsz),
             local_size=list(lsz),
@@ -517,27 +526,17 @@ class CommandQueue:
         self._pending = None
         self.context._fusion_pending -= 1
         fusion.count_reject(reason)
-        ns = dispatch_kernel_ns(
+        return self._launch(
+            pend.kernel.name,
             pend.kernel.runner(self.device),
-            self.device.spec,
             pend.entries,
+            pend.reads,
+            pend.writes,
             pend.gsz,
             pend.lsz,
-        )
-        self._mark_kernel_written(pend.entries, pend.writes)
-        with self.context.ledger._lock:
-            self.context.ledger.kernel_launches += 1
-        return self._stamp_and_charge(
-            pend.event,
-            NDRANGE_KERNEL,
-            "kernel",
-            ns,
-            reads=pend.reads,
-            writes=pend.writes,
-            kernel=pend.kernel.name,
+            None,
+            event=pend.event,
             flushed=reason,
-            global_size=list(pend.gsz),
-            local_size=list(pend.lsz),
         )
 
     def _check_buffer(self, buf: Buffer) -> None:
@@ -636,7 +635,7 @@ class CommandQueue:
             and buf.contents_equal(host_data)
         ):
             fusion.count_xfer_elim(buf.nbytes)
-            return self._record(
+            return self._stamp_and_charge(
                 WRITE_BUFFER, "h2d", 0.0,
                 writes=(buf.id,), wait_for=wait_for, nbytes=buf.nbytes,
                 elided=True,
@@ -649,7 +648,7 @@ class CommandQueue:
         tracer = current_tracer()
         if tracer.enabled:
             tracer.count("bytes.to_device", buf.nbytes)
-        return self._record(
+        return self._stamp_and_charge(
             WRITE_BUFFER, "h2d", ns,
             writes=(buf.id,), wait_for=wait_for, nbytes=buf.nbytes,
         )
@@ -682,7 +681,7 @@ class CommandQueue:
         tracer = current_tracer()
         if tracer.enabled:
             tracer.count("bytes.from_device", buf.nbytes)
-        return self._record(
+        return self._stamp_and_charge(
             READ_BUFFER, "d2h", ns,
             reads=(buf.id,), wait_for=wait_for, nbytes=buf.nbytes,
         )
@@ -704,7 +703,7 @@ class CommandQueue:
         dst.data[:] = src.data
         dst._h2d_clean = None
         ns = src.n_elements / (self.device.spec.lanes * self.device.spec.ops_per_ns)
-        return self._record(
+        return self._stamp_and_charge(
             COPY_BUFFER, "kernel", ns,
             reads=(src.id,), writes=(dst.id,), wait_for=wait_for,
         )
@@ -844,7 +843,9 @@ class CommandQueue:
                 self._pending = None
                 self.context._fusion_pending -= 1
                 fusion.count_fused()
-                event = self._launch(
+                # The producer's event shares the fused placement: its
+                # work happened inside the composed launch.
+                return self._launch(
                     plan.name,
                     plan.runner,
                     plan.entries,
@@ -853,24 +854,9 @@ class CommandQueue:
                     gsz,
                     lsz,
                     None,
+                    producer=pend.event,
                     fused=f"{pend.kernel.name}+{kernel.name}",
                 )
-                # The producer's event shares the fused placement: its
-                # work happened inside the composed launch.
-                produced = pend.event
-                for attr in (
-                    "submit_ns",
-                    "start_ns",
-                    "end_ns",
-                    "sched_start_ns",
-                    "sched_end_ns",
-                    "e2e_start_ns",
-                    "e2e_end_ns",
-                    "_e2e_epoch",
-                ):
-                    setattr(produced, attr, getattr(event, attr))
-                self.events.insert(len(self.events) - 1, produced)
-                return event
             self._flush_pending(plan)
         event = Event(
             NDRANGE_KERNEL, "kernel", self.context.clock.now_ns, 0.0
@@ -908,7 +894,7 @@ class CommandQueue:
         self._check_device_writable()
         with self.context.ledger._lock:
             self.context.ledger.kernel_launches += 1
-        return self._record(
+        return self._stamp_and_charge(
             NDRANGE_KERNEL, "kernel", ns,
             reads=reads, writes=writes, wait_for=wait_for,
             kernel=name, **span_args,
@@ -949,7 +935,7 @@ class CommandQueue:
             )
         command = WRITE_BUFFER if to_device else READ_BUFFER
         access = {"writes": (buf.id,)} if to_device else {"reads": (buf.id,)}
-        return self._record(
+        return self._stamp_and_charge(
             command, category, ns,
             wait_for=wait_for, nbytes=nbytes, **access, **span_args,
         )
@@ -979,32 +965,15 @@ class CommandQueue:
         fence: bool,
     ) -> Event:
         self._flush_if_pending("sync")
-        timeline = self.context.clock.timeline
-        epoch = timeline.epoch
-        self._e2e_anchor(epoch)
-        queued = self.context.clock.now_ns
-        event = Event(command, "kernel", queued, 0.0)
-        event._e2e_epoch = epoch
-        if wait_for:
-            at = max((dep.sched_end_ns for dep in wait_for), default=0.0)
-            e2e_at = max(
-                (self._e2e_end_of(dep, epoch) for dep in wait_for),
-                default=0.0,
-            )
-        else:
-            at = self._sched_max_end
-            e2e_at = self._e2e_max_end
-        at = max(at, self._fence_ns)
-        e2e_at = max(e2e_at, self._e2e_fence, timeline.host_pos_ns)
-        event.sched_start_ns = at
-        event.sched_end_ns = at
-        event.e2e_start_ns = e2e_at
-        event.e2e_end_ns = e2e_at
-        if fence and self.out_of_order:
-            self._fence_ns = max(self._fence_ns, at)
-            self._e2e_fence = max(self._e2e_fence, e2e_at)
-            if wait_for is None:
-                self._sync_schedule()
+        event = Event(command, "kernel", self.context.clock.now_ns, 0.0)
+        for axis, lower in self._axes():
+            if not wait_for:
+                lower = max(lower, axis.max_end)
+            _, at = axis.place((event,), wait_for or (), lower)
+            if fence and self.out_of_order:
+                axis.fence = max(axis.fence, at)
+        if fence and self.out_of_order and wait_for is None:
+            self._sync_schedule()
         self.events.append(event)
         return event
 
@@ -1023,9 +992,7 @@ class CommandQueue:
         on *any* queue of the clock — start no earlier.
         """
         self._flush_if_pending("sync")
-        timeline = self.context.clock.timeline
-        if self._e2e_epoch == timeline.epoch:
-            timeline.host_wait(self._e2e_max_end)
+        self.context.clock.timeline.host_wait(self.e2e_makespan_ns)
         if self.out_of_order:
             self._sync_schedule()
 

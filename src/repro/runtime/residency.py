@@ -260,6 +260,11 @@ class ManagedArray:
         """Read back (if the device copy is the truth) and free it."""
         self.sync_host(release_device=True)
 
+    def discard_device(self) -> None:
+        """Free the device copy without reading it back (scratch data
+        whose contents are no longer needed; nothing is priced)."""
+        self._release_buffer()
+
     # -- host access (triggers read-back) -------------------------------
 
     def host(self) -> list:

@@ -48,6 +48,20 @@ class TestMovabilityTransferVolumes:
         assert ledger.bytes_to_device >= repeats * corpus_bytes
 
 
+def test_repeated_lud_runs_do_not_grow_the_runtime_queue():
+    """The device matrix's queue and context live across runs; each run
+    must leave behind neither event history nor device buffers."""
+    sizes, breakdowns = [], []
+    for _ in range(3):
+        breakdowns.append(lud.run_actors(16).breakdown)
+        sizes.append([
+            (len(env.queue.events), len(env.context._buffers))
+            for env in device_matrix().environments()
+        ])
+    assert sizes[0] == sizes[1] == sizes[2]
+    assert breakdowns[0] == breakdowns[1] == breakdowns[2]
+
+
 class TestApiCostShape:
     def test_matmul_api_transfer_volume_is_exact(self):
         n = 16

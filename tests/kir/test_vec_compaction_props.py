@@ -18,11 +18,6 @@ from hypothesis import given, settings, strategies as st
 from repro import kernelc
 from repro.kir import npcodegen
 from repro.opencl import Buffer, CommandQueue, Context, Program, find_device
-from repro.opencl import dispatch
-
-pytestmark = pytest.mark.skipif(
-    not npcodegen.AVAILABLE, reason="numpy not installed"
-)
 
 N = 256  # >= dispatch.VEC_MIN_ITEMS so the full path takes the vec tier
 LSZ = 8
@@ -86,11 +81,11 @@ def _full_dispatch(source):
 
 
 def _at_density(source, density, every=1):
-    saved = dispatch.configure()
-    dispatch.configure(compact_density=density, compact_check_every=every)
-    try:
-        import numpy as np
+    import numpy as np
 
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(npcodegen, "COMPACT_DENSITY", density)
+        mp.setattr(npcodegen, "COMPACT_CHECK_EVERY", every)
         compiled = kernelc.build(source)
         runner = compiled.kernel_runner("k")
         assert runner.vec is not None, runner.vec_reason
@@ -98,8 +93,6 @@ def _at_density(source, density, every=1):
         warps = runner.vec.run_group_warps(args, [N], [LSZ], SIMD)
         contents, ns = _full_dispatch(source)
         return args[0].tolist(), warps, contents, ns
-    finally:
-        dispatch.configure(**saved)
 
 
 class TestCompactionProperties:

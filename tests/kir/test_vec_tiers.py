@@ -21,12 +21,8 @@ from repro.apps.reduction import sources as reduction_sources
 from repro.kir import npcodegen
 from repro.opencl import Buffer, CommandQueue, Context, Program, find_device
 from repro.opencl import dispatch
-from repro.opencl.costmodel import _group_warp_costs
+from repro.opencl.costmodel import group_warp_costs
 from repro.trace import tracing
-
-pytestmark = pytest.mark.skipif(
-    not npcodegen.AVAILABLE, reason="numpy not installed"
-)
 
 SIMD = 8
 
@@ -72,7 +68,7 @@ def run_tiers(source, kernel, scalars, arrays, gsz, lsz, simd=SIMD,
 
     ref_args = make_args(False)
     item_ops = runner.run_range(ref_args, gsz, lsz)
-    ref_warps = _group_warp_costs(item_ops, gsz, lsz, simd)
+    ref_warps = group_warp_costs(item_ops, gsz, lsz, simd)
 
     if not runner.group_mode:
         fold_args = make_args(False)
@@ -387,18 +383,15 @@ class TestLedgerTotals:
 import contextlib
 
 from repro.apps.mandelbrot import sources as mandelbrot_sources
-from repro.errors import CLInvalidValue
 
 
 @contextlib.contextmanager
 def compaction(density, every=1):
-    """Force the compaction policy for one test, restoring defaults."""
-    saved = dispatch.configure()
-    dispatch.configure(compact_density=density, compact_check_every=every)
-    try:
+    """Force the compaction policy for one block, restoring it after."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(npcodegen, "COMPACT_DENSITY", density)
+        mp.setattr(npcodegen, "COMPACT_CHECK_EVERY", every)
         yield
-    finally:
-        dispatch.configure(**saved)
 
 
 DIVERGENT_CASES = [
@@ -436,17 +429,9 @@ class TestCompaction:
         assert "dispatch.compact" not in tr.counters()
         assert out == out_off
 
-    def test_configure_validates(self):
-        with pytest.raises(CLInvalidValue):
-            dispatch.configure(compact_density=1.5)
-        with pytest.raises(CLInvalidValue):
-            dispatch.configure(compact_density=-0.1)
-        with pytest.raises(CLInvalidValue):
-            dispatch.configure(compact_check_every=0)
-
     def test_configure_applies_to_compiled_kernels(self):
         """The kcache may hand back an already-compiled kernel; the
-        policy is read at run time so configure() still bites."""
+        policy is read at run time so a changed setting still bites."""
         compiled = kernelc.build(ESCAPE_LOOP)
         runner = compiled.kernel_runner("escape")
         np = _np()

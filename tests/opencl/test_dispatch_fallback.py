@@ -13,10 +13,6 @@ from repro.opencl import Buffer, CommandQueue, Context, Program, find_device
 from repro.opencl import dispatch
 from repro.trace import tracing
 
-pytestmark = pytest.mark.skipif(
-    not npcodegen.AVAILABLE, reason="numpy not installed"
-)
-
 ELIGIBLE = """
 __kernel void add1(__global int *a) {
     int i = get_global_id(0);
@@ -138,13 +134,10 @@ class TestIterationCap:
         """
         kcache.clear()  # force a rebuild under the tiny cap
         monkeypatch.setattr(npcodegen, "LOOP_ITER_CAP", 7)
-        saved = dispatch.configure()
-        dispatch.configure(compact_density=1.0, compact_check_every=1)
-        try:
-            with tracing() as tr:
-                out = _run(CAPPED_LOOP, "accum", init=3)
-        finally:
-            dispatch.configure(**saved)
+        monkeypatch.setattr(npcodegen, "COMPACT_DENSITY", 1.0)
+        monkeypatch.setattr(npcodegen, "COMPACT_CHECK_EVERY", 1)
+        with tracing() as tr:
+            out = _run(CAPPED_LOOP, "accum", init=3)
         # Scalar rerun from the restored (all-threes) buffer: exact sums.
         assert out == [3 + i % 7 + 5 for i in range(512)]
         assert tr.counter("dispatch.fallback") == 1

@@ -2,13 +2,14 @@
 
 Hypothesis generates random command programs — mixed transfers, priced
 kernels with explicit read/write sets, device-side copies, barriers,
-markers, ``finish`` calls and host API charges, spread over one to
-three queues on one to three devices — and executes each program in
-both queue modes.  An independent reference scheduler (a longest-path
-computation over the augmented dependency DAG: explicit wait lists,
-inferred whole-buffer hazards, per-engine serialization, fences, and
-host release times) recomputes every placement from the recorded
-durations alone; the real scheduler must agree exactly, on the
+markers, ``finish`` calls, host API charges and mid-program
+``Context.reset_ledger`` calls (a new composed-timeline epoch), spread
+over one to three queues on one to three devices — and executes each
+program in both queue modes.  An independent reference scheduler (a
+longest-path computation over the augmented dependency DAG: explicit
+wait lists, inferred whole-buffer hazards, per-engine serialization,
+fences, and host release times) recomputes every placement from the
+recorded durations alone; the real scheduler must agree exactly, on the
 queue-local axis and on the composed end-to-end axis.
 
 On top of the placement equality, the metamorphic scheduling contract:
@@ -69,7 +70,7 @@ def programs(draw):
         q = draw(st.integers(min_value=0, max_value=n_queues - 1))
         kind = draw(st.sampled_from(
             ["write", "read", "copy", "kernel", "kernel",
-             "barrier", "marker", "finish", "api"]
+             "barrier", "marker", "finish", "api", "reset"]
         ))
         waits = draw(st.one_of(
             st.none(),
@@ -97,7 +98,7 @@ def programs(draw):
                                   "ns": ns, "waits": waits}))
         elif kind in SYNCS:
             ops.append((kind, q, {"waits": waits}))
-        elif kind in ("finish", "api"):
+        elif kind in ("finish", "api", "reset"):
             ops.append((kind, q, {}))
     return n_queues, n_bufs, ops
 
@@ -173,6 +174,8 @@ def _execute(program, out_of_order):
                 queue.finish()
             elif kind == "api":
                 ctxs[q].charge_api_call()
+            elif kind == "reset":
+                ctxs[q].reset_ledger()
             if event is not None:
                 placements.append((event.sched_start_ns, event.sched_end_ns,
                                    event.e2e_start_ns, event.e2e_end_ns))
@@ -210,13 +213,19 @@ class _OracleQueue:
     """Reference per-queue scheduler state (local and composed axes)."""
 
     def __init__(self):
-        self.events = []  # (local_end, e2e_end) per recorded event
+        #: (local_end, e2e_end, epoch) per recorded event, cleared by a
+        #: reset of the queue's context
+        self.events = []
         self.serial_end = 0.0
         self.sched_max_end = 0.0
         self.engine_free = {}
         self.fence = 0.0
-        self.last_writer = {}   # buf key -> event index
-        self.last_readers = {}  # buf key -> [event index]
+        self.last_writer = {}   # buf key -> event record
+        self.last_readers = {}  # buf key -> [event record]
+        self.drop_composed()
+
+    def drop_composed(self):
+        """Forget the composed-axis state (a new timeline epoch)."""
         self.e2e_prev_end = 0.0
         self.e2e_engine_free = {}
         self.e2e_fence = 0.0
@@ -228,16 +237,33 @@ def _oracle(program, durations, api_ns, host0, out_of_order):
 
     Processes ops in enqueue order; each command's start is the longest
     path to it through explicit waits, buffer hazards, fences, engine
-    availability and (composed axis) the host release time.  Returns
-    per-op placements plus the composed elapsed time.
+    availability and (composed axis) the host release time.  A reset
+    starts a new composed epoch at origin 0: every queue drops its
+    composed state, events placed earlier end at 0.0 on the composed
+    axis, and the queue-local state survives.  Returns per-op placements
+    plus the composed elapsed time of the last epoch.
     """
     n_queues, n_bufs, ops = program
     host = host0
     covered_max = host0
+    epoch = 0
     qs = [_OracleQueue() for _ in range(n_queues)]
     placements = []
+
+    def composed_end(record):
+        _, end, placed_epoch = record
+        return end if placed_epoch == epoch else 0.0
+
     for (kind, q, spec), ns in zip(ops, durations):
         oq = qs[q]
+        if kind == "reset":
+            epoch += 1
+            host = covered_max = 0.0
+            for other in qs:
+                other.drop_composed()
+            oq.events = []
+            placements.append(None)
+            continue
         if kind == "api":
             host += api_ns[q]
             covered_max = max(covered_max, host)
@@ -260,7 +286,7 @@ def _oracle(program, durations, api_ns, host0, out_of_order):
         if kind in SYNCS:
             if waits:
                 at = max(oq.events[i][0] for i in waits)
-                e2e_at = max(oq.events[i][1] for i in waits)
+                e2e_at = max(composed_end(oq.events[i]) for i in waits)
             else:
                 at = oq.sched_max_end
                 e2e_at = oq.e2e_max_end
@@ -277,7 +303,7 @@ def _oracle(program, durations, api_ns, host0, out_of_order):
                     oq.e2e_fence = max(oq.e2e_fence, oq.e2e_max_end)
                     oq.last_writer.clear()
                     oq.last_readers.clear()
-            oq.events.append((at, e2e_at))
+            oq.events.append((at, e2e_at, epoch))
             placements.append((at, at, e2e_at, e2e_at))
             continue
 
@@ -302,22 +328,19 @@ def _oracle(program, durations, api_ns, host0, out_of_order):
         else:
             ready = oq.fence
             e2e_ready = max(host, oq.e2e_fence)
-            for i in waits or ():
-                ready = max(ready, oq.events[i][0])
-                e2e_ready = max(e2e_ready, oq.events[i][1])
+            deps = [oq.events[i] for i in waits or ()]
             for buf in reads:
                 writer = oq.last_writer.get(buf)
                 if writer is not None:
-                    ready = max(ready, oq.events[writer][0])
-                    e2e_ready = max(e2e_ready, oq.events[writer][1])
+                    deps.append(writer)
             for buf in writes:
                 writer = oq.last_writer.get(buf)
                 if writer is not None:
-                    ready = max(ready, oq.events[writer][0])
-                    e2e_ready = max(e2e_ready, oq.events[writer][1])
-                for reader in oq.last_readers.get(buf, ()):
-                    ready = max(ready, oq.events[reader][0])
-                    e2e_ready = max(e2e_ready, oq.events[reader][1])
+                    deps.append(writer)
+                deps.extend(oq.last_readers.get(buf, ()))
+            for dep in deps:
+                ready = max(ready, dep[0])
+                e2e_ready = max(e2e_ready, composed_end(dep))
             engine = ENGINE_OF_OP[kind]
             start = max(ready, oq.engine_free.get(engine, 0.0))
             end = start + ns
@@ -328,14 +351,14 @@ def _oracle(program, durations, api_ns, host0, out_of_order):
             oq.e2e_engine_free[engine] = e2e_end
         oq.e2e_max_end = max(oq.e2e_max_end, e2e_end)
         covered_max = max(covered_max, e2e_end)
-        index = len(oq.events)
-        oq.events.append((end, e2e_end))
+        record = (end, e2e_end, epoch)
+        oq.events.append(record)
         if out_of_order:
             for buf in writes:
-                oq.last_writer[buf] = index
+                oq.last_writer[buf] = record
                 oq.last_readers[buf] = []
             for buf in reads:
-                oq.last_readers.setdefault(buf, []).append(index)
+                oq.last_readers.setdefault(buf, []).append(record)
         placements.append((start, end, e2e_start, e2e_end))
     return placements, max(covered_max, host)
 
