@@ -1673,8 +1673,8 @@ class VecKernel:
         simd: int,
     ) -> list[list[int]]:
         """Execute the NDRange on numpy arrays; returns per-group warp
-        op maxima.  Array arguments must be numpy views of the buffers
-        (:meth:`repro.opencl.memory.Buffer.np_view`)."""
+        op maxima.  Array arguments are the buffers' own arrays
+        (:attr:`repro.opencl.memory.Buffer.data`)."""
         g = _pad3(gsz)
         l = _pad3(lsz)
         # Masked-off lanes may compute garbage that is discarded; only

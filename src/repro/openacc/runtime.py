@@ -214,15 +214,17 @@ class _AccExecutor(Interpreter):
             # serialises the reduction loop on the device.
             gangs = 1
         gangs = max(1, min(gangs, trip))
+        assert self.compiled_kernels is not None
+        runner = self.compiled_kernels.kernel_runner(region.kernel_name)
         seed = 0 if op == "+" else initial
         partial_host = [seed] * gangs
+        # The partial-sum buffer takes the reduction variable's type
+        # (the kernel's trailing ``__partial`` parameter), not the seed's.
         partial = Buffer(
-            self.context, gangs, "int" if isinstance(seed, int) else "float"
+            self.context, gangs, runner.fn.params[-1].type.element.kind
         )
         self.queue.enqueue_write_buffer(partial, partial_host)
         args = list(args) + [partial]
-        assert self.compiled_kernels is not None
-        runner = self.compiled_kernels.kernel_runner(region.kernel_name)
         ns = dispatch_kernel_ns(runner, self.device.spec, args, [gangs], [1])
         start = self.device.schedule_ns(self.context.clock.now_ns, ns)
         self.context.charge(

@@ -83,9 +83,8 @@ class Context:
         self.residency_epoch = 0
         #: Number of this context's queues currently holding a kernel
         #: dispatch deferred by the graph-level optimiser.  Host-side
-        #: buffer observation (``Buffer.data`` / ``np_view``) checks it
-        #: and calls :meth:`flush_pending` so deferred effects are never
-        #: observable.
+        #: buffer observation (``Buffer.data``) checks it and calls
+        #: :meth:`flush_pending` so deferred effects are never observable.
         self._fusion_pending = 0
 
     def flush_pending(self) -> None:
@@ -203,7 +202,7 @@ class Context:
         written_bufs = [e for e in entries
                         if isinstance(e, Buffer) and e.id in writes]
         for buf in written_bufs:
-            buf._h2d_clean = None
+            buf.mark_np_written()
         total_items = 1
         for s in gsz:
             total_items *= s

@@ -8,11 +8,14 @@ fastest correct tier for each dispatch:
 * **vectorised** — the numpy batch executor
   (:mod:`repro.kir.npcodegen`), used for eligible range-mode kernels on
   NDRanges large enough to amortise array setup.  Array arguments are
-  the buffers' numpy mirrors, so chained dispatches over the same
-  buffers stay in numpy-land with no list conversion in between.
+  the buffers' own arrays, so no dispatch converts storage.
 * **scalar warp-fold** — the generated ``__warps_`` runner, which
   iterates items inline with hoisted index arithmetic and folds op
-  counts into warp maxima on the fly (no per-item list).
+  counts into warp maxima on the fly (no per-item list).  The scalar
+  engines see each buffer as a ``memoryview`` of its array: loads
+  yield Python scalars and stores write the array in place.  A store
+  out of bounds, or of a value the element type cannot hold (an
+  integer outside int64), raises :class:`~repro.errors.KirRuntimeError`.
 * **legacy** — the original ``__run_`` per-item path, kept as the
   reference; selectable via :func:`set_legacy_execution` so benchmarks
   can measure old vs new on the same workload.
@@ -57,9 +60,9 @@ only one execution ever happens.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
-from ..errors import CLInvalidValue
+from ..errors import CLInvalidValue, KirRuntimeError
 from .. import kir
 from ..kir import npcodegen as _npc
 from ..trace import current_tracer
@@ -80,11 +83,6 @@ def set_legacy_execution(flag: bool) -> None:
     (benchmarking aid; simulated costs are identical either way)."""
     global _legacy
     _legacy = bool(flag)
-
-
-def use_legacy() -> bool:
-    """Whether the legacy per-item execution path is forced on."""
-    return _legacy
 
 
 _UNSET = object()
@@ -133,8 +131,22 @@ def configure(
     }
 
 
-def _listify(raw_args: Sequence) -> list:
-    return [a.data if isinstance(a, Buffer) else a for a in raw_args]
+def _run_scalar(engine, raw_args: Sequence, *geometry):
+    """Run a scalar engine (``run_range`` / ``run_group_warps``) over
+    memoryviews of the buffer arguments, reporting faulting buffer
+    accesses as :class:`KirRuntimeError`."""
+    args = [
+        memoryview(a.data) if isinstance(a, Buffer) else a for a in raw_args
+    ]
+    try:
+        return engine(args, *geometry)
+    except IndexError as exc:
+        raise KirRuntimeError(f"index out of range ({exc})") from None
+    except (TypeError, ValueError) as exc:
+        # memoryview refuses a store its element format cannot hold.
+        if not str(exc).startswith("memoryview:"):
+            raise
+        raise KirRuntimeError(f"buffer store rejected ({exc})") from None
 
 
 def _count_fallback(reason: str) -> None:
@@ -184,10 +196,10 @@ def _scalar_kernel_ns(
     """Non-vectorised reference execution (generator engine or
     warp-fold runner, by kernel mode)."""
     if runner.group_mode:
-        item_ops = runner.run_range(_listify(raw_args), gsz, lsz)
+        item_ops = _run_scalar(runner.run_range, raw_args, gsz, lsz)
         return spec.kernel_ns(item_ops, gsz, lsz)
-    group_warps = runner.run_group_warps(
-        _listify(raw_args), gsz, lsz, spec.simd_width
+    group_warps = _run_scalar(
+        runner.run_group_warps, raw_args, gsz, lsz, spec.simd_width
     )
     return spec.kernel_ns_from_group_warps(group_warps)
 
@@ -208,7 +220,7 @@ def dispatch_kernel_ns(
     if _legacy:
         # Reference path for benchmarking; intentionally not counted as
         # a fallback (nothing was demoted — the user asked for it).
-        item_ops = runner.run_range(_listify(raw_args), gsz, lsz)
+        item_ops = _run_scalar(runner.run_range, raw_args, gsz, lsz)
         return spec.kernel_ns(item_ops, gsz, lsz)
     nitems = 1
     for s in gsz:
@@ -227,9 +239,7 @@ def dispatch_kernel_ns(
             _faults.count_failover()
             _count_fallback("fault")
             return _scalar_kernel_ns(runner, spec, raw_args, gsz, lsz)
-    np_args = [
-        a.np_view() if isinstance(a, Buffer) else a for a in raw_args
-    ]
+    np_args = [a.data if isinstance(a, Buffer) else a for a in raw_args]
     snaps: list[tuple[Buffer, object]] = []
     if runner.vec.has_masked_loops:
         # A masked loop may hit the iteration cap after partial stores;
@@ -237,7 +247,7 @@ def dispatch_kernel_ns(
         for i in runner.written_param_indices:
             arg = raw_args[i]
             if isinstance(arg, Buffer):
-                snaps.append((arg, arg.np_view().copy()))
+                snaps.append((arg, arg.data.copy()))
     compact_before = _npc.thread_compact_stats()
     try:
         try:
@@ -245,18 +255,12 @@ def dispatch_kernel_ns(
                 np_args, gsz, lsz, spec.simd_width
             )
         finally:
-            # Even a faulting kernel may have partially stored.  Count
-            # compaction activity here too: events that happened before
-            # an iteration-cap abort are still real work.
+            # Count compaction activity even on an abort: events that
+            # happened before an iteration-cap abort are still real work.
             _count_compaction(compact_before)
-            for i in runner.written_param_indices:
-                arg = raw_args[i]
-                if isinstance(arg, Buffer):
-                    arg.mark_np_written()
     except _npc.VecIterationCap:
         for arg, snap in snaps:
-            arg.np_view()[:] = snap
-            arg.mark_np_written()
+            arg.data[:] = snap
         _count_fallback("iter-cap")
         return _scalar_kernel_ns(runner, spec, raw_args, gsz, lsz)
     _count_cse_hits(runner.vec.cse_hits)
@@ -311,7 +315,7 @@ def multi_device_kernel_ns(
     for its slice — warp maxima folded with its own SIMD width,
     work-groups scheduled over its own compute units.
     """
-    item_ops = runner.run_range(_listify(raw_args), gsz, lsz)
+    item_ops = _run_scalar(runner.run_range, raw_args, gsz, lsz)
     row_items = 1
     for s in gsz[:-1]:
         row_items *= s

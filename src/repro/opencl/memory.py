@@ -7,12 +7,12 @@ live on the device side of a modelled host link, moving data across it
 costs simulated time proportional to the byte size, and host code can
 only observe kernel writes after an explicit read-back.
 
-Storage is two-tiered for host-path speed: the canonical Python list
-(every legacy consumer reads/writes ``buf.data``) plus a lazily
-materialised NumPy mirror used by the vectorised kernel execution path.
-Whichever tier was written last is authoritative; the other is synced
-on demand.  The tiers are a wall-clock optimisation only — simulated
-costs never depend on which tier executed an access.
+Each buffer is stored once, as a typed NumPy array (``float64`` /
+``int64`` / ``bool``).  The vectorised kernel tier operates on the
+array itself; the scalar engines index it through a ``memoryview``, so
+their loads yield plain Python ``float`` / ``int`` / ``bool`` and their
+stores land in the array directly.  Simulated costs never depend on
+which engine executed an access.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ READ_WRITE = "READ_WRITE"
 READ_ONLY = "READ_ONLY"
 WRITE_ONLY = "WRITE_ONLY"
 COPY_HOST_PTR = "COPY_HOST_PTR"
-
-_ZERO = {"float": 0.0, "int": 0, "bool": False}
 
 
 def np_dtype(dtype: str):
@@ -69,14 +67,12 @@ class Buffer:
         self.n_elements = n_elements
         self.flags = tuple(flags)
         self.released = False
-        self._np = None
-        self._np_fresh = False
-        self._list_fresh = True
         #: Transfer-elimination marker: ``(residency_epoch, device_id)``
         #: of the last clean transfer that certified host and device
         #: copies equal, or None once a kernel (or device-side copy) has
-        #: written the buffer.  Maintained by the queue layer; consulted
-        #: only when the graph-level optimiser is enabled.
+        #: written the buffer (:meth:`mark_np_written`).  Set by the
+        #: queue layer; consulted only when the graph-level optimiser is
+        #: enabled.
         self._h2d_clean: Optional[tuple] = None
         if COPY_HOST_PTR in self.flags:
             if host_data is None:
@@ -85,70 +81,44 @@ class Buffer:
                 raise CLInvalidValue(
                     f"host data length {len(host_data)} != {n_elements}"
                 )
-            self._list = list(host_data)
+            self._array = _np.array(host_data, dtype=np_dtype(dtype))
         else:
-            self._list = [_ZERO[dtype]] * n_elements
+            self._array = _np.zeros(n_elements, dtype=np_dtype(dtype))
         context._buffers.append(self)
 
-    # -- two-tier storage --------------------------------------------------
+    # -- storage -----------------------------------------------------------
 
     @property
-    def data(self) -> list:
-        """The buffer contents as the canonical Python list.
+    def data(self) -> _np.ndarray:
+        """The buffer contents: the live typed array, which callers may
+        read and write in place.
 
-        Callers may mutate the returned list in place (the substrate
-        itself does), so any still-fresh NumPy mirror is conservatively
-        invalidated here.  Observing contents is also a flush point for
-        the graph-level optimiser: a kernel deferred for fusion must
-        execute before its output can be read.
+        Observing contents is a flush point for the graph-level
+        optimiser: a kernel deferred for fusion must execute before its
+        output can be read.
         """
         if self.context._fusion_pending:
             self.context.flush_pending()
-        if not self._list_fresh:
-            self._list[:] = self._np.tolist()
-            self._list_fresh = True
-        self._np_fresh = False
-        return self._list
+        return self._array
 
     @data.setter
-    def data(self, values: list) -> None:
-        if self.context._fusion_pending:
-            self.context.flush_pending()
-        self._list = values
-        self._list_fresh = True
-        self._np = None
-        self._np_fresh = False
+    def data(self, values: Sequence) -> None:
+        self.data[:] = values
 
     def contents_equal(self, values) -> bool:
-        """Whether the buffer currently holds exactly *values*.
+        """Whether the buffer currently holds exactly *values* (the
+        transfer-elimination pass's redundancy probe)."""
+        return _np.array_equal(self._array, values)
 
-        A read-only probe for the transfer-elimination pass: unlike the
-        ``data`` property it does not invalidate the NumPy mirror, so
-        checking an upload for redundancy never deoptimises a chain of
-        vectorised dispatches.
-        """
-        if not self._list_fresh:
-            self._list[:] = self._np.tolist()
-            self._list_fresh = True
-        if len(values) != len(self._list):
-            return False
-        return list(values) == self._list
-
-    def np_view(self):
-        """The contents as a NumPy array (authoritative until the list
-        tier is touched).  Callers that write through the view must call
-        :meth:`mark_np_written`."""
-        if self.context._fusion_pending:
-            self.context.flush_pending()
-        if not self._np_fresh:
-            self._np = _np.asarray(self._list, dtype=np_dtype(self.dtype))
-            self._np_fresh = True
-        return self._np
+    def np_view(self) -> _np.ndarray:
+        """Alias of :attr:`data`."""
+        return self.data
 
     def mark_np_written(self) -> None:
-        """A vectorised kernel stored through the NumPy mirror: the list
-        tier is stale until the next ``.data`` access."""
-        self._list_fresh = False
+        """Something other than a host transfer stored into the buffer
+        (a kernel or a device-side copy): clear the transfer-elimination
+        marker, so the next upload of the same host data is priced."""
+        self._h2d_clean = None
 
     # -- geometry / lifecycle ----------------------------------------------
 
@@ -164,7 +134,9 @@ class Buffer:
         """Return the device memory.  Double release is an error."""
         self.check_alive()
         self.released = True
-        self.data = []
+        if self.context._fusion_pending:
+            self.context.flush_pending()
+        self._array = _np.empty(0, dtype=self._array.dtype)
         try:
             self.context._buffers.remove(self)
         except ValueError:  # pragma: no cover - defensive

@@ -280,16 +280,6 @@ class Kernel:
             out.append(value)
         return out
 
-    def bound_args(self, context: Context) -> list:
-        """Materialise the argument list for dispatch (device storage for
-        buffers, raw scalars otherwise)."""
-        from .memory import Buffer
-
-        return [
-            v.data if isinstance(v, Buffer) else v
-            for v in self.bound_entries(context)
-        ]
-
     def buffer_access(
         self, entries: Sequence
     ) -> tuple[list[int], list[int]]:

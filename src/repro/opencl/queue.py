@@ -468,7 +468,7 @@ class CommandQueue:
         written = set(writes)
         for entry in entries:
             if isinstance(entry, Buffer) and entry.id in written:
-                entry._h2d_clean = None
+                entry.mark_np_written()
 
     def _launch(
         self,
@@ -641,7 +641,7 @@ class CommandQueue:
                 elided=True,
             )
         self._fault_gate("h2d", f"buf{buf.ordinal}", ns)
-        buf.data[:] = host_data
+        buf.data = host_data
         buf._h2d_clean = (self.context.residency_epoch, self.device.id)
         with self.context.ledger._lock:
             self.context.ledger.bytes_to_device += buf.nbytes
@@ -674,7 +674,7 @@ class CommandQueue:
         self._flush_if_pending("host-read")
         ns = self.device.spec.transfer_ns(buf.nbytes, to_device=False)
         self._fault_gate("d2h", f"buf{buf.ordinal}", ns)
-        host_out[:] = buf.data
+        host_out[:] = buf.data.tolist()
         buf._h2d_clean = (self.context.residency_epoch, self.device.id)
         with self.context.ledger._lock:
             self.context.ledger.bytes_from_device += buf.nbytes
@@ -700,8 +700,8 @@ class CommandQueue:
         self._check_device_writable()
         if src.n_elements != dst.n_elements or src.dtype != dst.dtype:
             raise CLInvalidValue("copy between mismatched buffers")
-        dst.data[:] = src.data
-        dst._h2d_clean = None
+        dst.data = src.data
+        dst.mark_np_written()
         ns = src.n_elements / (self.device.spec.lanes * self.device.spec.ops_per_ns)
         return self._stamp_and_charge(
             COPY_BUFFER, "kernel", ns,

@@ -181,8 +181,8 @@ class ManagedArray:
                 if copy:
                     queue.enqueue_write_buffer(self._buffer, self._flat)
                 else:
-                    self._buffer.data[:] = self._flat
-                    self._buffer._h2d_clean = None
+                    self._buffer.data = self._flat
+                    self._buffer.mark_np_written()
                 self._queue = queue
                 self._device_valid = True
                 return self._buffer
@@ -195,7 +195,7 @@ class ManagedArray:
         else:
             if tracer.enabled:
                 tracer.count("residency.alloc")
-            buf.data[:] = self._flat  # contents land with the kernel write
+            buf.data = self._flat  # contents land with the kernel write
         self._buffer = buf
         self._queue = queue
         self._device_valid = True

@@ -208,6 +208,23 @@ class TestExecution:
         assert program.run("minof", [data, 8]).value == 1.0
         assert program.run("sumof", [data, 8]).value == sum(data)
 
+    @pytest.mark.parametrize("gangs", [256, 512])
+    def test_float_sum_keeps_fractional_partials(self, gangs):
+        # Enough gangs to take the vectorised tier: each gang's partial
+        # sum is fractional and must not be stored into an int buffer.
+        program = AccProgram(
+            f"""
+            float sumof(__global float *a, int n) {{
+                float s = 0.0;
+                #pragma acc parallel loop reduction(+:s) copyin(a) num_gangs({gangs})
+                for (int i = 0; i < n; i++) {{ s = s + a[i]; }}
+                return s;
+            }}
+            """
+        )
+        result = program.run("sumof", [[0.3] * 1024, 1024]).value
+        assert result == pytest.approx(307.2)
+
     def test_report_records_decisions(self):
         program = AccProgram(
             """

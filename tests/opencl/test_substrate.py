@@ -71,7 +71,7 @@ class TestContextAndBuffers:
         buf = Buffer(ctx, 16, "int")
         assert buf.n_elements == 16
         assert buf.nbytes == 64
-        assert buf.data == [0] * 16
+        assert buf.data.tolist() == [0] * 16
 
     def test_copy_host_ptr(self):
         ctx = Context([find_device("GPU")])
@@ -79,7 +79,7 @@ class TestContextAndBuffers:
             ctx, 3, "float", ["READ_ONLY", "COPY_HOST_PTR"],
             host_data=[1.0, 2.0, 3.0],
         )
-        assert buf.data == [1.0, 2.0, 3.0]
+        assert buf.data.tolist() == [1.0, 2.0, 3.0]
 
     def test_bad_dtype_rejected(self):
         ctx = Context([find_device("GPU")])
@@ -158,7 +158,7 @@ class TestQueues:
         dst = Buffer(ctx, 4)
         queue.enqueue_write_buffer(src, [5.0, 6.0, 7.0, 8.0])
         queue.enqueue_copy_buffer(src, dst)
-        assert dst.data == [5.0, 6.0, 7.0, 8.0]
+        assert dst.data.tolist() == [5.0, 6.0, 7.0, 8.0]
 
     def test_ledger_accumulates_bytes(self):
         ctx, queue = self._ctx_queue()
