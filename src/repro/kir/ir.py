@@ -20,7 +20,7 @@ Design notes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 # ---------------------------------------------------------------------------
 # Types
@@ -388,53 +388,44 @@ def walk_stmts(stmts: Sequence[Stmt]):
             yield from walk_stmts(st.body)
 
 
-def walk_exprs(node: Union[Expr, Stmt]):
-    """Yield every expression reachable from *node* (inclusive for Expr)."""
+#: node type -> the fields holding its expressions, in source order
+#: (statements list only their own expressions, not nested statements)
+_EXPR_FIELDS: dict[type, tuple[str, ...]] = {
+    BinOp: ("left", "right"),
+    UnOp: ("operand",),
+    Index: ("base", "index"),
+    Cast: ("operand",),
+    Select: ("cond", "if_true", "if_false"),
+    Decl: ("init", "size"),
+    Assign: ("value",),
+    Store: ("base", "index", "value"),
+    If: ("cond",),
+    For: ("start", "stop", "step"),
+    While: ("cond",),
+    Return: ("value",),
+    ExprStmt: ("expr",),
+}
+
+
+def _collect_exprs(node: Union[Expr, Stmt], out: list) -> None:
     if isinstance(node, Expr):
-        yield node
-        if isinstance(node, BinOp):
-            yield from walk_exprs(node.left)
-            yield from walk_exprs(node.right)
-        elif isinstance(node, UnOp):
-            yield from walk_exprs(node.operand)
-        elif isinstance(node, Index):
-            yield from walk_exprs(node.base)
-            yield from walk_exprs(node.index)
-        elif isinstance(node, Call):
-            for a in node.args:
-                yield from walk_exprs(a)
-        elif isinstance(node, Cast):
-            yield from walk_exprs(node.operand)
-        elif isinstance(node, Select):
-            yield from walk_exprs(node.cond)
-            yield from walk_exprs(node.if_true)
-            yield from walk_exprs(node.if_false)
+        out.append(node)
+    if isinstance(node, Call):
+        for arg in node.args:
+            _collect_exprs(arg, out)
         return
-    # Statements
-    if isinstance(node, Decl):
-        if node.init is not None:
-            yield from walk_exprs(node.init)
-        if node.size is not None:
-            yield from walk_exprs(node.size)
-    elif isinstance(node, Assign):
-        yield from walk_exprs(node.value)
-    elif isinstance(node, Store):
-        yield from walk_exprs(node.base)
-        yield from walk_exprs(node.index)
-        yield from walk_exprs(node.value)
-    elif isinstance(node, If):
-        yield from walk_exprs(node.cond)
-    elif isinstance(node, For):
-        yield from walk_exprs(node.start)
-        yield from walk_exprs(node.stop)
-        yield from walk_exprs(node.step)
-    elif isinstance(node, While):
-        yield from walk_exprs(node.cond)
-    elif isinstance(node, Return):
-        if node.value is not None:
-            yield from walk_exprs(node.value)
-    elif isinstance(node, ExprStmt):
-        yield from walk_exprs(node.expr)
+    for name in _EXPR_FIELDS.get(type(node), ()):
+        child = getattr(node, name)
+        if child is not None:
+            _collect_exprs(child, out)
+
+
+def walk_exprs(node: Union[Expr, Stmt]) -> Iterator[Expr]:
+    """Iterate every expression reachable from *node* (inclusive for
+    Expr), in pre-order."""
+    out: list[Expr] = []
+    _collect_exprs(node, out)
+    return iter(out)
 
 
 def has_barrier(fn: Function) -> bool:

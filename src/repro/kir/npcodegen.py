@@ -30,17 +30,24 @@ Three escalating capabilities make almost every kernel eligible:
   eligibility restricts barriers to dispatch-uniform control flow so
   the scalar engine would never diagnose divergence either.
 
-Two optimisation passes keep deep divergent loops cheap without
-changing anything observable:
+Three optimisations keep divergent code and repeated dispatches cheap
+without changing anything observable:
 
 * **Active-lane compaction** — a masked loop whose live-lane density
   falls below :data:`COMPACT_DENSITY` (re-checked every
   :data:`COMPACT_CHECK_EVERY` rounds) gathers its loop-carried state
   into a contiguous array via ``np.flatnonzero`` and runs subsequent
   rounds at the compacted width, scattering results back to full width
-  on exit.  Charging, mask subtraction and the iteration cap are
-  bit-identical to the full-width path; the thresholds are read at run
-  time, so cached kernels honour later changes to them.
+  on exit.  A lane-variant ``if``/``else`` arm whose mask is that
+  sparse runs on its ``np.flatnonzero`` lanes the same way, with its
+  mask set to ``None`` (direct gathers and scatters, plain op
+  charges); a denser mask runs it full width.  Charging, mask
+  subtraction and the iteration cap are bit-identical to the
+  full-width path; the thresholds are read at run time, so cached
+  kernels honour later changes to them.
+* **Cached lane ids** — the prologue's work-item index arrays
+  (``__lin``, ``__g*``, ``__l*``, ``__grp*``, ``__grow``) come from a
+  bounded per-shape cache of read-only arrays (:func:`_lane_ids`).
 * **Common-subexpression elimination** — pure ``ir.Expr`` subtrees are
   hashed per masked region at codegen time and repeated occurrences
   (e.g. a loop condition's ``x*x + y*y`` reused in its body) become
@@ -51,9 +58,11 @@ Op accounting mirrors ``_FnCompiler.block`` exactly (same per-block
 batching, the same ``+1`` / ``+2`` control-flow charges, masked where
 the scalar path is conditional), so the folded warp maxima — and hence
 every simulated nanosecond — are identical to the scalar engines';
-tests assert this.  Both passes above are charging-equivalent by
+tests assert this.  Compaction and CSE are charging-equivalent by
 construction: charges derive from static IR costs, never from the
-numpy expressions actually emitted.
+numpy expressions actually emitted.  :func:`fold_group_warps` hands the
+warp maxima to the cost model as a ``(groups, warps)`` array, which it
+prices without converting to lists.
 
 Kernels the tier still refuses (reason strings surface as
 ``dispatch.fallback.<reason>`` trace counters): ``get_work_dim``
@@ -350,6 +359,81 @@ def _vput(full: Any, sel: Any, val: Any, width: int) -> Any:
     return full
 
 
+def _arm_lanes(mask: Any) -> tuple:
+    """``(arm mask, arm width, selection)`` for an ``if`` arm under
+    *mask*.
+
+    When the mask's density is below :data:`COMPACT_DENSITY` (read at
+    run time, like :func:`_should_compact`) the arm runs compacted:
+    ``(None, k, flatnonzero(mask))``, counted as a compaction event.
+    Otherwise it runs full width: ``(mask, width, None)``.
+    """
+    width = mask.shape[0]
+    if COMPACT_DENSITY > 0.0 and (
+        _np.count_nonzero(mask) < COMPACT_DENSITY * width
+    ):
+        sel = _np.flatnonzero(mask)
+        _note_compaction(1, 0)
+        return None, sel.shape[0], sel
+    return mask, width, None
+
+
+def _vtakes(values: tuple, sel: Any) -> tuple:
+    """Gather the *sel* lanes of each per-lane value (see :func:`_vtake`)."""
+    return tuple(_vtake(v, sel) for v in values)
+
+
+def _vmerge(full: Any, sel: Any, val: Any, mask: Any) -> Any:
+    """Merge a compacted ``if`` arm's final value of a variable back to
+    full width: the full-width arm's ``np.where(mask, val, full)``, with
+    *val* holding only the *sel* lanes (``sel == flatnonzero(mask)``)."""
+    if not _is_arr(val):
+        return _np.where(mask, val, full)
+    out = _np.empty(mask.shape[0], dtype=_np.result_type(val, full))
+    out[...] = full
+    out[sel] = val
+    return out
+
+
+def _vputs(saved: tuple, sel: Any, current: tuple, mask: Any) -> tuple:
+    """Leave a compacted ``if`` arm.
+
+    *saved* holds the full-width values at entry: read-only ones, then
+    the op vector, then the variables the arm assigns; *current* holds
+    the op vector and those variables at compacted width.  Read-only
+    values come back by reference, the op vector is scattered in place
+    and assigned variables merge through :func:`_vmerge`.
+    """
+    nro = len(saved) - len(current)
+    ops = saved[nro]
+    ops[sel] = current[0]
+    merged = tuple(
+        _vmerge(full, sel, val, mask)
+        for full, val in zip(saved[nro + 1:], current[1:])
+    )
+    return saved[:nro] + (ops,) + merged
+
+
+def _vcost(mask: Any, n: int) -> Any:
+    """Per-lane charge of *n* under an arm mask (None: all lanes)."""
+    return n if mask is None else mask * n
+
+
+def _vwhere(mask: Any, val: Any, old: Any) -> Any:
+    """Masked assignment under an arm mask (None: all lanes)."""
+    return val if mask is None else _np.where(mask, val, old)
+
+
+def _vmand(m: Any, mask: Any) -> Any:
+    """Mask *m* restricted to an arm mask (None: all lanes)."""
+    return m if mask is None else m & mask
+
+
+def _vlive(mask: Any, width: int) -> Any:
+    """A live mask equal to an arm mask (None: all *width* lanes)."""
+    return _np.ones(width, dtype=bool) if mask is None else mask
+
+
 class _CompactStats(threading.local):
     """Per-thread compaction accounting (events and compacted rounds)."""
 
@@ -409,6 +493,14 @@ def _namespace_base() -> dict[str, Any]:
         "__vtake": _vtake,
         "__vput": _vput,
         "__vcstats": _note_compaction,
+        "__vlanes": _lane_ids,
+        "__varm": _arm_lanes,
+        "__vtakes": _vtakes,
+        "__vputs": _vputs,
+        "__vcost": _vcost,
+        "__vwhere": _vwhere,
+        "__vmand": _vmand,
+        "__vlive": _vlive,
     }
 
 
@@ -438,6 +530,33 @@ def _direct(stmts: Sequence[ir.Stmt], kinds) -> bool:
             if _direct(st.then, kinds) or _direct(st.orelse, kinds):
                 return True
     return False
+
+
+def _shadows(fn: ir.Function) -> bool:
+    """True when a declaration in *fn* shadows a parameter or a name
+    declared in an enclosing block (generated code keeps one Python
+    name per source name, so the two share a binding)."""
+
+    def walk(stmts: Sequence[ir.Stmt], outer: frozenset) -> bool:
+        names = set(outer)
+        for st in stmts:
+            if isinstance(st, ir.Decl):
+                if st.name in outer:
+                    return True
+                names.add(st.name)
+            elif isinstance(st, ir.If):
+                scope = frozenset(names)
+                if walk(st.then, scope) or walk(st.orelse, scope):
+                    return True
+            elif isinstance(st, ir.For):
+                if st.var in names or walk(st.body, frozenset(names | {st.var})):
+                    return True
+            elif isinstance(st, ir.While):
+                if walk(st.body, frozenset(names)):
+                    return True
+        return False
+
+    return walk(fn.body, frozenset(p.name for p in fn.params))
 
 
 def _loop_divergent(body: Sequence[ir.Stmt]) -> bool:
@@ -653,13 +772,17 @@ def _body_reason(
     return None
 
 
-def eligibility(module: ir.Module, fn: ir.Function) -> Optional[str]:
+def eligibility(
+    module: ir.Module, fn: ir.Function, variant: Optional[set[str]] = None
+) -> Optional[str]:
     """Why *fn* cannot run on the vectorised tier, or None if it can.
 
     The reason string becomes the ``dispatch.fallback.<reason>`` trace
     counter suffix when a dispatch is demoted to a scalar tier.
+    *variant* is ``_variant_vars(module, fn)`` when the caller has it.
     """
-    variant = _variant_vars(module, fn)
+    if variant is None:
+        variant = _variant_vars(module, fn)
     expr_variant = _make_expr_variant(module, variant)
 
     def invariant(e: Optional[ir.Expr]) -> bool:
@@ -729,10 +852,10 @@ class _VecCompiler:
         #: (``__vmask`` / ``ones``) matches the compacted lane count
         self.widths: list[str] = ["__n"]
         #: per-lane work-item index arrays emitted by the prologue
-        #: (``__lin`` always, plus any ``__g*``/``__l*``/``__grp*`` and
+        #: (any of ``__lin``, ``__g*``, ``__l*``, ``__grp*`` and
         #: ``__grow``); compaction gathers them so absolute-index
         #: semantics survive at compacted width
-        self.lane_arrays: list[str] = ["__lin"]
+        self.lane_arrays: list[str] = []
         #: CSE availability table: structural key -> (temp, deps, load)
         self.cse_table: dict = {}
         #: keys added per lexical scope (popped when leaving a
@@ -742,6 +865,14 @@ class _VecCompiler:
         #: static count of eliminated re-evaluations (reuse sites)
         self.cse_hits = 0
         self.tmp = 0
+        #: arm masks that are ``None`` at run time when the arm runs
+        #: compacted (see _compact_arm)
+        self.nullable: set[str] = set()
+        #: enclosing CSE tables set aside while a compactible arm
+        #: compiles; kills still apply to them
+        self.cse_hidden: list[dict] = []
+        #: function name -> whether it shadows a name (see _shadows)
+        self.shadowing: dict[str, bool] = {}
 
     def var(self, name: str) -> str:
         """Resolve *name* through the inline rename scopes."""
@@ -769,12 +900,34 @@ class _VecCompiler:
         return _make_expr_variant(self.module, self.variants[-1])(e)
 
     def add_ops(self, n: int) -> None:
-        if self.mask is None:
+        m = self.mask
+        if m is None:
             self.em.emit(f"__ops += {n}")
+        elif m in self.nullable:
+            self.em.emit(f"__ops += __vcost({m}, {n})")
         else:
             # bool * int broadcast beats boolean fancy indexing by an
             # order of magnitude and is density-independent.
-            self.em.emit(f"__ops += {self.mask} * {n}")
+            self.em.emit(f"__ops += {m} * {n}")
+
+    def _and_mask(self, code: str) -> str:
+        """Code for the mask *code* restricted to the current mask."""
+        m = self.mask
+        if m is None:
+            return code
+        if m in self.nullable:
+            return f"__vmand({code}, {m})"
+        return f"{code} & {m}"
+
+    def _live_mask(self) -> str:
+        """Code for a new mask equal to the current one (all lanes
+        when there is none)."""
+        m = self.mask
+        if m is None:
+            return f"__np.ones({self._width()}, dtype=bool)"
+        if m in self.nullable:
+            return f"__vlive({m}, {self._width()})"
+        return m
 
     def _width(self) -> str:
         """The lane-count expression masks materialise at (the full
@@ -798,23 +951,19 @@ class _VecCompiler:
 
     def _cse_kill(self, name: str) -> None:
         """Invalidate entries depending on *name* (it was reassigned)."""
-        if not self.cse_table:
-            return
-        dead = [
-            k for k, (_, deps, _) in self.cse_table.items() if name in deps
-        ]
-        for k in dead:
-            del self.cse_table[k]
+        for table in self.cse_hidden + [self.cse_table]:
+            dead = [k for k, (_, deps, _) in table.items() if name in deps]
+            for k in dead:
+                del table[k]
 
     def _cse_kill_loads(self) -> None:
         """Invalidate every entry containing an array load.  Any store
         may alias any array (two parameters can name the same buffer),
         so stores are treated as clobbering all of them."""
-        if not self.cse_table:
-            return
-        dead = [k for k, (_, _, load) in self.cse_table.items() if load]
-        for k in dead:
-            del self.cse_table[k]
+        for table in self.cse_hidden + [self.cse_table]:
+            dead = [k for k, (_, _, load) in table.items() if load]
+            for k in dead:
+                del table[k]
 
     def _cse_key(self, e: ir.Expr):
         """Structural availability key for *e*, or None when the
@@ -1019,11 +1168,7 @@ class _VecCompiler:
         self.variants.append(_variant_vars(self.module, callee, seeds))
         if has_ret:
             live = self.fresh_mask()
-            cur = self.mask
-            if cur is None:
-                self.em.emit(f"{live} = __np.ones({self._width()}, dtype=bool)")
-            else:
-                self.em.emit(f"{live} = {cur}")
+            self.em.emit(f"{live} = {self._live_mask()}")
             self.masks.append(live)
             self.inline_ctx.append({"depth": len(self.masks) - 1, "ret": ret})
             self.block(callee.body)
@@ -1108,14 +1253,15 @@ class _VecCompiler:
 
     def _assign(self, name: str, value: str, declares: bool = False) -> None:
         target = self.var(name)
-        if self.mask is None or declares:
+        m = self.mask
+        if m is None or declares:
             # A declaration is scoped to its branch: later lanes never
             # observe it, so the unmasked full-width value is correct.
             self.em.emit(f"{target} = {value}")
+        elif m in self.nullable:
+            self.em.emit(f"{target} = __vwhere({m}, {value}, {target})")
         else:
-            self.em.emit(
-                f"{target} = __np.where({self.mask}, {value}, {target})"
-            )
+            self.em.emit(f"{target} = __np.where({m}, {value}, {target})")
         self._cse_kill(target)
 
     def _kill_masks(self, names: Sequence[str], cap: str) -> None:
@@ -1163,34 +1309,20 @@ class _VecCompiler:
         em = self.em
         if isinstance(st, ir.If):
             self.add_ops(_static_cost(st.cond) + 1)
+            # An arm's mask can be sparse only when the condition varies
+            # by lane or an enclosing mask already does.
+            divergent = self.mask is not None or self._expr_variant(st.cond)
             raw = self.fresh_mask()
             em.emit(f"{raw} = __vmask({self.expr(st.cond)}, {self._width()})")
             then_mask = raw if self.mask is None else self.fresh_mask()
             if self.mask is not None:
-                em.emit(f"{then_mask} = {raw} & {self.mask}")
+                em.emit(f"{then_mask} = {self._and_mask(raw)}")
             if st.then:
-                em.emit(f"if {then_mask}.any():")
-                em.indent += 1
-                self.masks.append(then_mask)
-                self._cse_push()
-                self.block(st.then)
-                self._cse_pop()
-                self.masks.pop()
-                em.indent -= 1
+                self._if_arm(st.then, then_mask, divergent)
             if st.orelse:
                 else_mask = self.fresh_mask()
-                if self.mask is None:
-                    em.emit(f"{else_mask} = ~{raw}")
-                else:
-                    em.emit(f"{else_mask} = ~{raw} & {self.mask}")
-                em.emit(f"if {else_mask}.any():")
-                em.indent += 1
-                self.masks.append(else_mask)
-                self._cse_push()
-                self.block(st.orelse)
-                self._cse_pop()
-                self.masks.pop()
-                em.indent -= 1
+                em.emit(f"{else_mask} = {self._and_mask(f'~{raw}')}")
+                self._if_arm(st.orelse, else_mask, divergent)
         elif isinstance(st, ir.For):
             if _masked_for(st, self._expr_variant):
                 self._masked_for_stmt(st)
@@ -1269,17 +1401,29 @@ class _VecCompiler:
         assigned ones are snapshotted (copied) at the first event and
         scattered back through it.
         """
-        body = st.body
-        if any(isinstance(s, ir.Return) for s in ir.walk_stmts(body)):
+        if any(isinstance(s, ir.Return) for s in ir.walk_stmts(st.body)):
             return None
-        reads: set[str] = set()
-        writes: set[str] = set()
-        local: set[str] = set()
-        exprs: list[ir.Expr] = []
         if isinstance(st, ir.While):
-            exprs.append(st.cond)
-        else:
-            writes.add(st.var)
+            return self._region_plan(st.body, list(self.lane_arrays),
+                                     exprs=[st.cond])
+        return self._region_plan(st.body, list(self.lane_arrays),
+                                 writes={st.var})
+
+    def _region_plan(
+        self,
+        body: Sequence[ir.Stmt],
+        lanes: list[str],
+        exprs: Sequence[ir.Expr] = (),
+        writes: Sequence[str] = (),
+    ) -> dict:
+        """The ``{'ro', 'rw'}`` gather lists of a compacted region:
+        *lanes* plus the variant variables *body* (and *exprs*) read
+        are read-only, the op vector plus the variant variables it
+        assigns are read-write (see :meth:`_compaction_plan`)."""
+        reads: set[str] = set()
+        writes = set(writes)
+        local: set[str] = set()
+        nodes: list = list(exprs)
         for s in ir.walk_stmts(body):
             if isinstance(s, ir.Decl):
                 local.add(s.name)
@@ -1287,19 +1431,134 @@ class _VecCompiler:
                 writes.add(s.name)
             elif isinstance(s, ir.For):
                 local.add(s.var)
-            exprs.extend(ir.walk_exprs(s))
-        for e in exprs:
-            for node in ir.walk_exprs(e):
-                if isinstance(node, ir.Var):
-                    reads.add(node.name)
+            nodes.append(s)
+        for node in nodes:
+            for e in ir.walk_exprs(node):
+                if isinstance(e, ir.Var):
+                    reads.add(e.name)
         variant = self.variants[-1]
-        ro = list(self.lane_arrays)
+        ro = list(lanes)
         rw = ["__ops"]
         for name in sorted(reads | writes):
             if name in local or name not in variant:
                 continue
             (rw if name in writes else ro).append(self.var(name))
         return {"ro": ro, "rw": rw}
+
+    def _if_lanes(self, body: Sequence[ir.Stmt]) -> Optional[list[str]]:
+        """The prologue index arrays a compacted ``if`` arm must gather,
+        or None when the arm cannot be compacted.
+
+        An arm is not compacted when it contains ``return`` or a
+        ``break``/``continue`` bound to an enclosing loop (they subtract
+        lanes from masks of the enclosing width, as for loops), or when
+        the function shadows a name (an arm's declarations then alias
+        outer variables, which compaction would leave at compacted
+        width).  The arrays are those of work-item ids the arm (or a
+        callee it inlines) calls for, ``__lin`` when it may touch a
+        private array, and ``__grow``.
+        """
+        if any(isinstance(s, ir.Return) for s in ir.walk_stmts(body)):
+            return None
+        if _direct(body, (ir.Break, ir.Continue)):
+            return None
+        current = self.inline_stack[-1] if self.inline_stack else self.fn.name
+        if current not in self.shadowing:
+            self.shadowing[current] = _shadows(self.module.functions[current])
+        if self.shadowing[current]:
+            return None
+        refs = {"__grow"}
+        if "__lin" in self.rowed.values():
+            refs.add("__lin")
+        seen: set[str] = set()
+        pending = [body]
+        while pending:
+            for s in ir.walk_stmts(pending.pop()):
+                if isinstance(s, ir.Decl) and isinstance(s.type, ir.ArrayType):
+                    refs.add("__lin")
+                for e in ir.walk_exprs(s):
+                    if not isinstance(e, ir.Call):
+                        continue
+                    if e.name in _VARIANT_ID_BUILTINS:
+                        refs.add(self._call(e))
+                    elif e.name in self.module.functions and e.name not in seen:
+                        seen.add(e.name)
+                        pending.append(self.module.functions[e.name].body)
+        return [a for a in self.lane_arrays if a in refs]
+
+    def _if_arm(
+        self, body: Sequence[ir.Stmt], mask: str, divergent: bool
+    ) -> None:
+        """Emit one ``if``/``else`` arm under *mask*, compactible when it
+        is divergent and :meth:`_if_lanes` allows (see
+        :meth:`_compact_arm`)."""
+        em = self.em
+        em.emit(f"if {mask}.any():")
+        em.indent += 1
+        lanes = self._if_lanes(body) if divergent else None
+        if lanes is None:
+            self.masks.append(mask)
+            self._cse_push()
+            self.block(body)
+            self._cse_pop()
+            self.masks.pop()
+        else:
+            self._compact_arm(body, lanes, mask)
+        em.indent -= 1
+
+    def _compact_arm(
+        self, body: Sequence[ir.Stmt], lanes: list[str], mask: str
+    ) -> None:
+        """Emit an arm that runs compacted when *mask* is sparse.
+
+        The body is emitted once, under an *arm mask* variable and a
+        width variable.  At full width they are *mask* and the
+        enclosing width.  When ``__varm`` finds the density below
+        :data:`COMPACT_DENSITY`, the region's per-lane values (see
+        :meth:`_region_plan`) are gathered to its ``flatnonzero`` lanes
+        and the arm mask becomes ``None`` (:func:`_arm_lanes`): every
+        gathered lane is active, so loads and stores index directly and
+        charges are plain ``__ops += cost``.  Statements that would
+        combine the arm mask go through helpers that accept ``None``
+        (:meth:`add_ops`, :meth:`_assign`, :meth:`_and_mask`,
+        :meth:`_live_mask`).  On exit (:func:`_vputs`) ``__ops``
+        scatters back, assigned variables merge back to full width and
+        read-only values are restored by reference.  CSE temps from
+        outside the arm may be at the wrong width, so the arm starts
+        from an empty availability table.
+        """
+        em = self.em
+        plan = self._region_plan(body, lanes)
+        sel, arm, width = self.fresh("p"), self.fresh_mask(), self.fresh("w")
+        saved = self.fresh("s")
+        names = ", ".join(plan["ro"] + plan["rw"])
+        em.emit(f"({arm}, {width}, {sel}) = __varm({mask})")
+        em.emit(f"if {sel} is not None:")
+        em.indent += 1
+        em.emit(f"{saved} = ({names},)")
+        em.emit(f"({names},) = __vtakes({saved}, {sel})")
+        em.indent -= 1
+        outer_lanes = self.lane_arrays
+        self.lane_arrays = lanes
+        self.masks.append(arm)
+        self.nullable.add(arm)
+        self.widths.append(width)
+        self.cse_hidden.append(self.cse_table)
+        self.cse_table = {}
+        self._cse_push()
+        self.block(body)
+        self._cse_pop()
+        self.cse_table = self.cse_hidden.pop()
+        self.widths.pop()
+        self.masks.pop()
+        self.lane_arrays = outer_lanes
+        em.emit(f"if {sel} is not None:")
+        em.indent += 1
+        em.emit(
+            f"({names},) = __vputs({saved}, {sel}, "
+            f"({', '.join(plan['rw'])},), {mask})"
+        )
+        em.indent -= 1
 
     def _compact_frame(self, plan: dict) -> dict:
         """Allocate the runtime bookkeeping variables for one
@@ -1393,11 +1652,7 @@ class _VecCompiler:
         em = self.em
         self.has_masked_loops = True
         act = self.fresh_mask()
-        outer = self.mask
-        if outer is None:
-            em.emit(f"{act} = __np.ones({self._width()}, dtype=bool)")
-        else:
-            em.emit(f"{act} = {outer}")
+        em.emit(f"{act} = {self._live_mask()}")
         it = self.fresh("t")
         em.emit(f"{it} = 0")
         plan = self._compaction_plan(st)
@@ -1455,11 +1710,9 @@ class _VecCompiler:
             plan["ro"] = plan["ro"] + [stop_v, step_v]
             fr = self._compact_frame(plan)
         act = self.fresh_mask()
-        outer = self.mask
-        if outer is None:
-            em.emit(f"{act} = __vmask({in_range}, {self._width()})")
-        else:
-            em.emit(f"{act} = {outer} & __vmask({in_range}, {self._width()})")
+        em.emit(
+            f"{act} = {self._and_mask(f'__vmask({in_range}, {self._width()})')}"
+        )
         it = self.fresh("t")
         em.emit(f"{it} = 0")
         em.emit(f"while {act}.any():")
@@ -1515,7 +1768,10 @@ def _vbool(x: Any):
 
 
 def _gen_vec_kernel(
-    module: ir.Module, fn: ir.Function, em: _Emitter
+    module: ir.Module,
+    fn: ir.Function,
+    em: _Emitter,
+    variant: Optional[set[str]] = None,
 ) -> _VecCompiler:
     used = _used_workitem_vars(fn)
     params = [f"v_{p.name}" for p in fn.params]
@@ -1524,48 +1780,50 @@ def _gen_vec_kernel(
     em.indent += 1
     if params:
         em.emit(f"({', '.join(params)},) = __args")
-    for d in range(_MAX_DIMS):
-        em.emit(f"__G{d} = __gsz[{d}]")
-        em.emit(f"__L{d} = __lsz[{d}]")
-        em.emit(f"__N{d} = __G{d} // __L{d}")
-    em.emit("__n = __G0 * __G1 * __G2")
-    em.emit("__lin = __np.arange(__n)")
-    id_used = {d for (name, d) in used if name in (
-        "get_global_id", "get_local_id", "get_group_id")}
+    # Only the geometry the body queries is bound (smaller source,
+    # cheaper compile); work-item builtins are kernel-only.
+    geometry = {
+        "get_global_size": "__gsz[{d}]",
+        "get_local_size": "__lsz[{d}]",
+        "get_num_groups": "__gsz[{d}] // __lsz[{d}]",
+    }
+    for name, d in sorted(used):
+        if name in geometry:
+            em.emit(f"{_WI_VARS[name]}{d} = {geometry[name].format(d=d)}")
+    em.emit("__n = __gsz[0] * __gsz[1] * __gsz[2]")
+    id_used = {d for (name, d) in used if name in _VARIANT_ID_BUILTINS}
     if has_locals:
         id_used |= {0, 1, 2}
-    for d in sorted(id_used):
-        if d == 0:
-            em.emit("__g0 = __lin % __G0")
-        elif d == 1:
-            em.emit("__g1 = (__lin // __G0) % __G1")
-        else:
-            em.emit("__g2 = __lin // (__G0 * __G1)")
+    # ``__lin`` only addresses private-array rows (see simple_stmt).
+    private = any(
+        isinstance(st, ir.Decl)
+        and isinstance(st.type, ir.ArrayType)
+        and st.type.space != ir.LOCAL
+        for f in module.functions.values()
+        for st in ir.walk_stmts(f.body)
+    )
+    lanes = ["__lin"] if private else []
+    lanes += [f"__g{d}" for d in sorted(id_used)]
     for name, d in sorted(used):
-        if name == "get_local_id":
-            em.emit(f"__l{d} = __g{d} % __L{d}")
-        elif name == "get_group_id":
-            em.emit(f"__grp{d} = __g{d} // __L{d}")
+        if name in ("get_local_id", "get_group_id"):
+            lanes.append(f"{_WI_VARS[name]}{d}")
     if has_locals:
         # Per-item row into the (num_groups, size) local-memory
-        # buffers: the group's flat index in the scalar engine's
-        # group-major visit order.
-        em.emit("__ngroups = __N0 * __N1 * __N2")
+        # buffers (see _lane_id_array).
         em.emit(
-            "__grow = (__g2 // __L2 * __N1 + __g1 // __L1) * __N0 "
-            "+ __g0 // __L0"
+            "__ngroups = (__gsz[0] // __lsz[0]) * (__gsz[1] // __lsz[1])"
+            " * (__gsz[2] // __lsz[2])"
+        )
+        lanes.append("__grow")
+    if lanes:
+        em.emit(
+            f"({', '.join(lanes)},) = __vlanes(__gsz, __lsz, {tuple(lanes)!r})"
         )
     em.emit("__ops = __np.zeros(__n, dtype=__np.int64)")
-    comp = _VecCompiler(module, fn, em, _variant_vars(module, fn))
-    for d in sorted(id_used):
-        comp.lane_arrays.append(f"__g{d}")
-    for name, d in sorted(used):
-        if name == "get_local_id":
-            comp.lane_arrays.append(f"__l{d}")
-        elif name == "get_group_id":
-            comp.lane_arrays.append(f"__grp{d}")
-    if has_locals:
-        comp.lane_arrays.append("__grow")
+    if variant is None:
+        variant = _variant_vars(module, fn)
+    comp = _VecCompiler(module, fn, em, variant)
+    comp.lane_arrays = lanes
     if any(isinstance(s, ir.Return) for s in ir.walk_stmts(fn.body)):
         # Early return subtracts lanes from this kernel-wide live mask.
         em.emit("__live = __np.ones(__n, dtype=bool)")
@@ -1576,6 +1834,58 @@ def _gen_vec_kernel(
     em.indent -= 1
     em.emit("")
     return comp
+
+
+#: (gsz, lsz, names) -> the read-only work-item index arrays a kernel
+#: prologue binds (``__lin``, ``__g*``, ``__l*``, ``__grp*``,
+#: ``__grow``).  Iterative workloads dispatch one NDRange shape hundreds
+#: of times, so the ``arange``/``%``/``//`` work is done once per shape.
+#: The arrays are shared by every dispatch of that shape, hence marked
+#: read-only: generated code only ever rebinds names, and a stray
+#: in-place write would raise instead of corrupting later dispatches.
+#: Bounded like :data:`_fold_perm_cache`.
+_lane_id_cache: dict = {}
+
+
+def _lane_id_array(name: str, g: tuple, l: tuple, lin: Any, ids: dict) -> Any:
+    """Compute one index array by prologue *name*, memoised in *ids*."""
+    arr = ids.get(name)
+    if arr is not None:
+        return arr
+    if name == "__g0":
+        arr = lin % g[0]
+    elif name == "__g1":
+        arr = (lin // g[0]) % g[1]
+    elif name == "__g2":
+        arr = lin // (g[0] * g[1])
+    elif name == "__grow":
+        # The group's flat index in the scalar engine's group-major
+        # visit order.
+        n0, n1 = g[0] // l[0], g[1] // l[1]
+        x, y, z = (_lane_id_array(f"__g{d}", g, l, lin, ids) for d in range(3))
+        arr = (z // l[2] * n1 + y // l[1]) * n0 + x // l[0]
+    else:
+        d = int(name[-1])
+        gid = _lane_id_array(f"__g{d}", g, l, lin, ids)
+        arr = gid // l[d] if name.startswith("__grp") else gid % l[d]
+    ids[name] = arr
+    return arr
+
+
+def _lane_ids(g: tuple, l: tuple, names: tuple) -> tuple:
+    """The prologue's index arrays *names* for NDRange ``(g, l)``."""
+    key = (g, l, names)
+    arrays = _lane_id_cache.get(key)
+    if arrays is None:
+        lin = _np.arange(g[0] * g[1] * g[2])
+        ids = {"__lin": lin}
+        arrays = tuple(_lane_id_array(nm, g, l, lin, ids) for nm in names)
+        for arr in arrays:
+            arr.setflags(write=False)
+        if len(_lane_id_cache) >= 64:
+            _lane_id_cache.clear()
+        _lane_id_cache[key] = arrays
+    return arrays
 
 
 #: (gsz, lsz) -> linear-to-group-major scatter index for
@@ -1609,7 +1919,7 @@ def _fold_perm(g: tuple, l: tuple, nitems: int) -> Any:
 
 def fold_group_warps(
     ops: Any, gsz: Sequence[int], lsz: Sequence[int], simd: int
-) -> list[list[int]]:
+) -> Any:
     """Reduce a per-item op vector to per-group warp maxima.
 
     Reproduces ``costmodel.group_warp_costs`` exactly: items are
@@ -1617,6 +1927,10 @@ def fold_group_warps(
     order, chunked into warps of *simd*, and reduced by max.  The
     short-warp tail pads with zeros, which cannot change a maximum of
     non-negative op counts.
+
+    Returns a ``(groups, warps)`` int64 array, which
+    ``DeviceSpec.kernel_ns_from_group_warps`` prices without converting
+    it to lists (``.tolist()`` gives ``group_warp_costs``' lists).
     """
     g = _pad3(gsz)
     l = _pad3(lsz)
@@ -1637,7 +1951,7 @@ def fold_group_warps(
         arranged = padded
     else:
         arranged = arranged.reshape(ngroups, nwarps * simd)
-    return arranged.reshape(ngroups, nwarps, simd).max(axis=2).tolist()
+    return arranged.reshape(ngroups, nwarps, simd).max(axis=2)
 
 
 class VecKernel:
@@ -1671,10 +1985,11 @@ class VecKernel:
         gsz: Sequence[int],
         lsz: Sequence[int],
         simd: int,
-    ) -> list[list[int]]:
+    ) -> Any:
         """Execute the NDRange on numpy arrays; returns per-group warp
-        op maxima.  Array arguments are the buffers' own arrays
-        (:attr:`repro.opencl.memory.Buffer.data`)."""
+        op maxima as the ``(groups, warps)`` int64 array of
+        :func:`fold_group_warps`.  Array arguments are the buffers' own
+        arrays (:attr:`repro.opencl.memory.Buffer.data`)."""
         g = _pad3(gsz)
         l = _pad3(lsz)
         # Masked-off lanes may compute garbage that is discarded; only
@@ -1702,11 +2017,12 @@ def vectorize_kernel_info(
     optimisation, so the scalar engine silently carries execution).
     """
     try:
-        reason = eligibility(module, fn)
+        variant = _variant_vars(module, fn)
+        reason = eligibility(module, fn, variant)
         if reason is not None:
             return None, reason
         em = _Emitter()
-        comp = _gen_vec_kernel(module, fn, em)
+        comp = _gen_vec_kernel(module, fn, em, variant)
         namespace = _namespace_base()
         namespace["__vint"] = _vint
         namespace["__vfloat"] = _vfloat

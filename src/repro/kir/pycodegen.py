@@ -464,12 +464,19 @@ class KernelRunner:
         #: why ``vec`` is None (an ``npcodegen.eligibility`` reason
         #: string surfaced as a ``dispatch.fallback.<reason>`` counter)
         self.vec_reason: Optional[str] = None
+        #: array parameter names the kernel body reads / writes, walked
+        #: from the IR once per compiled kernel (every ``Kernel`` object
+        #: made for it shares them)
+        self.read_params: frozenset[str] = frozenset(ir.read_arrays(fn))
+        self.written_params: frozenset[str] = frozenset(
+            ir.written_arrays(fn)
+        )
         #: indices of array params the kernel stores into
         self.written_param_indices: tuple[int, ...] = tuple(
             i
             for i, p in enumerate(fn.params)
             if isinstance(p.type, ir.ArrayType)
-            and p.name in ir.written_arrays(fn)
+            and p.name in self.written_params
         )
 
     # -- range mode -------------------------------------------------------

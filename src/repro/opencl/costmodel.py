@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 CPU = "CPU"
 GPU = "GPU"
 ACCELERATOR = "ACCELERATOR"
@@ -87,18 +89,27 @@ class DeviceSpec:
         return self.kernel_ns_from_group_warps(group_warps)
 
     def kernel_ns_from_group_warps(
-        self, group_warps: Sequence[Sequence[int]]
+        self, group_warps: "Sequence[Sequence[int]] | np.ndarray"
     ) -> float:
-        """Price a dispatch from per-group lists of warp op maxima.
+        """Price a dispatch from per-group warp op maxima.
 
         The divergence rule only ever consumes warp-level maxima, so
         runners that reduce lanes to warp maxima on the fly (the batched
         execution fast path) feed this directly and produce bit-identical
         times to :meth:`kernel_ns` over the full per-item list.
+
+        *group_warps* is either a list of per-group lists (the scalar
+        tiers) or a ``(groups, warps)`` int64 array (the vectorised
+        tier).  Both price to the same floats bit for bit: an integer
+        row sum is exact either way, and dividing it by ``ops_per_ns``
+        rounds the same int-to-double quotient in Python and numpy.
         """
-        group_ns = [
-            sum(w for w in warps) / self.ops_per_ns for warps in group_warps
-        ]
+        if isinstance(group_warps, np.ndarray):
+            group_ns = (group_warps.sum(axis=1) / self.ops_per_ns).tolist()
+        else:
+            group_ns = [
+                sum(warps) / self.ops_per_ns for warps in group_warps
+            ]
         makespan = _schedule(group_ns, self.compute_units)
         return self.kernel_launch_ns + makespan
 
@@ -149,11 +160,13 @@ def _schedule(group_ns: Sequence[float], compute_units: int) -> float:
         return 0.0
     if compute_units <= 1:
         return float(sum(group_ns))
+    if len(group_ns) <= compute_units:
+        # Every group lands on an idle unit at 0.0, and 0.0 + c == c.
+        return float(max(group_ns))
     heap = [0.0] * min(compute_units, len(group_ns))
     heapq.heapify(heap)
     for cost in group_ns:
-        earliest = heapq.heappop(heap)
-        heapq.heappush(heap, earliest + cost)
+        heapq.heapreplace(heap, heap[0] + cost)
     return max(heap)
 
 

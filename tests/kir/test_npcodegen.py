@@ -76,7 +76,7 @@ def run_all_tiers(source, kernel, scalars, arrays, gsz, lsz, simd=SIMD):
     if runner.vec is not None:
         vec_args = make_args(True)
         vec_warps = runner.vec.run_group_warps(vec_args, gsz, lsz, simd)
-        assert vec_warps == ref_warps
+        assert vec_warps.tolist() == ref_warps
         for got, want in zip(vec_args, ref_args):
             if isinstance(want, list):
                 assert got.tolist() == want
@@ -230,7 +230,7 @@ class TestWarpFolding:
                        dtype=np.int64)
         got = npcodegen.fold_group_warps(ops, gsz, lsz, SIMD)
         want = group_warp_costs(ops.tolist(), gsz, lsz, SIMD)
-        assert got == want
+        assert got.tolist() == want
 
     def test_two_dimensional_kernel_end_to_end(self):
         w, h = 16, 8

@@ -80,7 +80,7 @@ def run_tiers(source, kernel, scalars, arrays, gsz, lsz, simd=SIMD,
         assert runner.vec is not None, runner.vec_reason
         vec_args = make_args(True)
         vec_warps = runner.vec.run_group_warps(vec_args, gsz, lsz, simd)
-        assert vec_warps == ref_warps
+        assert vec_warps.tolist() == ref_warps
         for got, want in zip(vec_args, ref_args):
             if isinstance(want, list):
                 assert got.tolist() == want

@@ -7,6 +7,9 @@ warp's lanes, and price transfers as latency + bytes/bandwidth with
 asymmetric host-to-device / device-to-host links.
 """
 
+import heapq
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -203,3 +206,93 @@ class TestScheduler:
                     max_size=32))
     def test_single_cu_is_serial(self, group_ns):
         assert _schedule(group_ns, 1) == sum(group_ns)
+
+
+def _heap_makespan(group_ns, cu):
+    """The greedy placement loop itself, with no shortcut."""
+    if not group_ns:
+        return 0.0
+    if cu <= 1:
+        return float(sum(group_ns))
+    heap = [0.0] * min(cu, len(group_ns))
+    for cost in group_ns:
+        earliest = heapq.heappop(heap)
+        heapq.heappush(heap, earliest + cost)
+    return max(heap)
+
+
+class TestScheduleShortcut:
+    @settings(deadline=None)
+    @given(st.integers(min_value=1, max_value=64), st.data())
+    def test_few_groups_makespan_is_the_longest_group(self, cu, data):
+        """With no more groups than compute units every group starts at
+        0.0 on its own unit, so the makespan is exactly the maximum."""
+        group_ns = data.draw(
+            st.lists(st.floats(min_value=0.0, max_value=1e9),
+                     max_size=cu)
+        )
+        assert _schedule(group_ns, cu) == _heap_makespan(group_ns, cu)
+
+    @settings(deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e9), max_size=40),
+           st.integers(min_value=1, max_value=8))
+    def test_any_group_count_matches_the_heap_loop(self, group_ns, cu):
+        assert _schedule(group_ns, cu) == _heap_makespan(group_ns, cu)
+
+
+@st.composite
+def warp_matrices(draw):
+    """(compute units, groups x warps maxima) covering G < CU, G == CU,
+    G > CU, a single compute unit and no groups at all."""
+    cu = draw(st.integers(min_value=1, max_value=8))
+    relation = draw(st.sampled_from(["none", "fewer", "equal", "more"]))
+    groups = {
+        "none": 0,
+        "fewer": draw(st.integers(min_value=0, max_value=cu - 1)),
+        "equal": cu,
+        "more": cu + draw(st.integers(min_value=1, max_value=12)),
+    }[relation]
+    warps = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(
+        st.lists(st.integers(min_value=0, max_value=10**9),
+                 min_size=warps, max_size=warps),
+        min_size=groups, max_size=groups,
+    ))
+    return cu, warps, rows
+
+
+@pytest.mark.vec
+class TestArrayPricing:
+    @settings(deadline=None, max_examples=200)
+    @given(warp_matrices(),
+           st.integers(min_value=1, max_value=4),
+           st.one_of(st.sampled_from([1.0, 2.0, 0.3, 3]),
+                     st.floats(min_value=0.01, max_value=16.0)),
+           st.data())
+    def test_ndarray_lists_and_item_ops_price_identically(
+        self, matrix, simd, ops_per_ns, data
+    ):
+        """The vectorised tier's ``(groups, warps)`` array, the scalar
+        tiers' lists and per-item op counts all price to ``==`` floats."""
+        cu, warps, rows = matrix
+        spec = make_spec(compute_units=cu, simd_width=simd,
+                         ops_per_ns=ops_per_ns)
+        as_array = np.array(rows, dtype=np.int64).reshape(len(rows), warps)
+        # Per-item ops whose warp maxima are exactly *rows*: one lane of
+        # each warp carries the maximum, the others anything below it.
+        item_ops = []
+        for row in rows:
+            for top in row:
+                lanes = data.draw(st.lists(
+                    st.integers(min_value=0, max_value=top),
+                    min_size=simd - 1, max_size=simd - 1,
+                ))
+                item_ops += [top] + lanes
+        local = warps * simd
+        gsz, lsz = (len(rows) * local,), (local,)
+        assert group_warp_costs(item_ops, gsz, lsz, simd) == rows
+
+        priced = spec.kernel_ns_from_group_warps(as_array)
+        assert priced == spec.kernel_ns_from_group_warps(rows)
+        assert priced == spec.kernel_ns(item_ops, gsz, lsz)
+        assert type(priced) is float

@@ -144,3 +144,23 @@ class TestIterationCap:
         assert tr.counter("dispatch.fallback.iter-cap") == 1
         # The compaction events before the abort are still reported.
         assert tr.counter("dispatch.compact") >= 1
+
+
+class TestLudPipelineProxy:
+    def test_update_arms_compact_and_small_ranges_stay_scalar(self):
+        """Deterministic host-time proxy for the Figure-4 LUD pipeline.
+
+        ``lud_update`` runs over the whole n x n range, but only the
+        trailing (n-k-1)^2 lanes take its ``if`` arm, so late elimination
+        steps run the arm compacted (``dispatch.compact``).  The 1-item
+        ``lud_pivot`` and n-item ``lud_scale`` dispatches stay on the
+        scalar warp-fold: two small-ndrange fallbacks per step.
+        """
+        from repro.apps import lud
+
+        n = 128
+        with tracing() as tr:
+            lud.run_actors(n=n, device_type="GPU", movable=True)
+        assert tr.counter("dispatch.compact") > 0
+        assert tr.counter("dispatch.fallback.small-ndrange") == 2 * n
+        assert tr.counter("dispatch.fallback") == 2 * n
