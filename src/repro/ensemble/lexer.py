@@ -89,6 +89,14 @@ OPERATORS = (
     "}",
 )
 
+#: (width, operators of that width), widest first: a lookup per width
+#: finds the longest operator at a position, as scanning OPERATORS does
+#: (every operator precedes its own prefixes there).
+_OPERATORS_BY_WIDTH = tuple(
+    (width, frozenset(op for op in OPERATORS if len(op) == width))
+    for width in sorted({len(op) for op in OPERATORS}, reverse=True)
+)
+
 _ESCAPES = {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}
 
 
@@ -185,10 +193,11 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(Token(kind, word, line, col))
             i = j
             continue
-        for op in OPERATORS:
-            if source.startswith(op, i):
+        for width, ops in _OPERATORS_BY_WIDTH:
+            op = source[i:i + width]
+            if op in ops:
                 tokens.append(Token("op", op, line, col))
-                i += len(op)
+                i += width
                 break
         else:
             raise LexError(f"unexpected character {ch!r}", line, col)

@@ -30,7 +30,10 @@ class Parser:
     # -- token helpers -----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        try:
+            return self.tokens[self.pos + offset]
+        except IndexError:  # looking past the end sees the eof token
+            return self.tokens[-1]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]

@@ -80,6 +80,13 @@ OPERATORS = (
     "}",
 )
 
+#: (width, operators of that width), widest first: a lookup per width
+#: finds the longest operator at a position, as scanning OPERATORS does.
+_OPERATORS_BY_WIDTH = tuple(
+    (width, frozenset(op for op in OPERATORS if len(op) == width))
+    for width in sorted({len(op) for op in OPERATORS}, reverse=True)
+)
+
 
 @dataclass(frozen=True)
 class Token:
@@ -159,10 +166,11 @@ class Lexer:
                 self.tokens.append(Token(kind, word, line, col))
                 i = j
                 continue
-            for op in OPERATORS:
-                if src.startswith(op, i):
+            for width, ops in _OPERATORS_BY_WIDTH:
+                op = src[i:i + width]
+                if op in ops:
                     self.tokens.append(Token("op", op, line, col))
-                    i += len(op)
+                    i += width
                     break
             else:
                 raise LexError(f"unexpected character {ch!r}", line, col)

@@ -2,8 +2,9 @@
 
 Every front end (kernel-C, the Ensemble compiler's kernel extraction,
 the OpenACC pragma compiler) lowers to this IR; the OpenCL substrate's
-devices execute it via :func:`compile_module` (fast path) or
-:class:`Interpreter` (instrumented reference engine).
+devices execute it via :func:`compile_module`, and
+:class:`Interpreter` runs host code (the OpenACC baseline's) with exact
+op counts.
 """
 
 from .ir import (  # noqa: F401

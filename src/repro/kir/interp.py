@@ -1,27 +1,70 @@
-"""Reference interpreter for kernel IR.
+"""Reference interpreter for kernel IR, with exact op counts.
 
-This is the slow, exact engine: it walks the IR tree per work-item,
-counting every operation.  The fast path is :mod:`repro.kir.pycodegen`;
-tests cross-check the two.  The interpreter is also the engine used to
-run work-items of kernels that contain barriers inside the generator
-scheduler of :mod:`repro.opencl.device` when codegen is disabled.
+:class:`Interpreter` runs host code (the OpenACC baseline's sequential
+C, and tests) and single work-items of barrier-free kernels.  It does
+not walk the tree on every execution: the first call of a function
+compiles its body into nested Python closures, one per statement and
+expression node, and every later call reuses them.  Variables live in a
+flat ``env`` dict per call.
+
+Op counting
+-----------
+``Interpreter.ops`` counts primitive operations.  The OpenACC runtime
+prices host code from it (``HOST_OPS_PER_NS``), so these rules shape
+figure bars:
+
+* ``Const`` and ``Var`` cost 0; every other expression node costs 1.
+* ``&&`` / ``||`` skip the right operand's cost when they short-circuit;
+  ``?:`` charges its condition plus the taken arm only.
+* A call costs 1 plus its arguments plus the callee's body.
+* ``Decl``, ``Assign`` and ``Store`` cost 1 plus their expressions; a
+  ``local`` array ``Decl`` evaluates its size only when the name is
+  unbound.  ``ExprStmt`` costs its expression, ``If`` its condition.
+* ``For`` costs its bounds once plus 2 per iteration.  ``While`` costs 1
+  plus its condition per test, including the final failing test.
+
+Every cost that does not depend on the path taken is summed when the
+body is compiled.  A run of statements that control flow cannot leave
+early pays its summed cost in one charge before it starts; a loop folds
+that charge into its per-iteration charge.  Only ``&&``, ``||``, ``?:``,
+calls and loop headers charge as they execute.  The totals equal a
+node-by-node count; only the order of the charges differs.  After an
+error, the count is undefined.
 
 Semantics
 ---------
 * ``int`` division and modulo follow C (truncation toward zero).
 * Out-of-bounds array access raises :class:`KirRuntimeError` (a real GPU
   would silently corrupt memory; we prefer loud failure).
-* Barriers are implemented by yielding from the execution generator;
-  the caller resumes every work-item of a group in lock-step.
+* Errors stay lazy: an unknown function, a work-item builtin outside a
+  kernel or a zero-step ``for`` raises only when it executes.
+* A barrier raises :class:`KirRuntimeError` when it executes.  Barrier
+  kernels run on :mod:`repro.kir.pycodegen`'s group generator, which
+  resumes the items of a work-group in lock-step.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Iterator, Optional, Sequence
+import operator
+import weakref
+from typing import Any, Callable, Optional, Sequence
 
 from ..errors import KirRuntimeError
 from . import ir
+
+#: A compiled statement or expression: called with the variable dict.
+#: A statement returns None, ``_BREAK``, ``_CONTINUE`` or a ``(value,)``
+#: tuple for ``return``; an expression returns its value.
+Code = Callable[[dict], Any]
+
+_BREAK = object()
+_CONTINUE = object()
+
+#: ``env`` keys of the running work-item and the group's local memory.
+#: The space keeps them apart from every C identifier.
+_WI = " wi"
+_LOCAL = " local"
 
 
 def c_idiv(a: int, b: int) -> int:
@@ -59,19 +102,6 @@ class WorkItem:
         self.dim = len(self.gsize)
 
 
-class _Break(Exception):
-    pass
-
-
-class _Continue(Exception):
-    pass
-
-
-class _Return(Exception):
-    def __init__(self, value: Any) -> None:
-        self.value = value
-
-
 _MATH_IMPL = {
     "sqrt": math.sqrt,
     "fabs": abs,
@@ -93,17 +123,185 @@ _MATH_IMPL = {
     "clamp": lambda x, lo, hi: min(max(x, lo), hi),
 }
 
+#: work-item builtin -> the :class:`WorkItem` field it indexes
+_WI_FIELDS = {
+    "get_global_id": "gid",
+    "get_local_id": "lid",
+    "get_group_id": "group",
+    "get_global_size": "gsize",
+    "get_local_size": "lsize",
+    "get_num_groups": "ngroups",
+}
+
+
+def _both_int(lv: Any, rv: Any) -> bool:
+    return isinstance(lv, int) and isinstance(rv, int) and not (
+        isinstance(lv, bool) or isinstance(rv, bool)
+    )
+
+
+def _div(lv: Any, rv: Any) -> Any:
+    if type(lv) is int and type(rv) is int and lv >= 0 and rv > 0:
+        return lv // rv  # C and Python agree on non-negative operands
+    if _both_int(lv, rv):
+        return c_idiv(lv, rv)
+    if rv == 0:
+        raise KirRuntimeError("float division by zero")
+    return lv / rv
+
+
+def _mod(lv: Any, rv: Any) -> Any:
+    if type(lv) is int and type(rv) is int and lv >= 0 and rv > 0:
+        return lv % rv
+    if _both_int(lv, rv):
+        return c_imod(lv, rv)
+    return math.fmod(lv, rv)
+
+
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _div,
+    "%": _mod,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+    "&": operator.and_,
+    "|": operator.or_,
+    "^": operator.xor,
+    "<<": operator.lshift,
+    ">>": operator.rshift,
+}
+
+_UNARY = {"-": operator.neg, "!": operator.not_, "~": operator.invert}
+
+
+def _unbound(exc: KeyError) -> KirRuntimeError:
+    return KirRuntimeError(f"unbound variable {exc.args[0]!r}")
+
+
+def _out_of_range(what: str, idx: Any, arr: Any) -> KirRuntimeError:
+    return KirRuntimeError(
+        f"{what} index {idx} out of range (len {len(arr)})"
+    )
+
+
+def _fail(message: str) -> Code:
+    """Code that raises *message* when it executes (errors stay lazy)."""
+
+    def fail(env: dict) -> Any:
+        raise KirRuntimeError(message)
+
+    return fail
+
+
+def _lookup(name: str) -> Code:
+    def var(env: dict) -> Any:
+        try:
+            return env[name]
+        except KeyError:
+            raise KirRuntimeError(f"unbound variable {name!r}") from None
+
+    return var
+
+
+def _binary(f: Callable, left: ir.Expr, right: ir.Expr, l: Code, r: Code) -> Code:
+    """``f(left, right)``, reading ``Var`` and ``Const`` operands inline."""
+    if isinstance(left, ir.Var):
+        a = left.name
+        if isinstance(right, ir.Var):
+            b = right.name
+
+            def var_var(env: dict) -> Any:
+                try:
+                    return f(env[a], env[b])
+                except KeyError as exc:
+                    raise _unbound(exc) from None
+
+            return var_var
+        if isinstance(right, ir.Const):
+            c = right.value
+
+            def var_const(env: dict) -> Any:
+                try:
+                    return f(env[a], c)
+                except KeyError as exc:
+                    raise _unbound(exc) from None
+
+            return var_const
+
+        def var_expr(env: dict) -> Any:
+            try:
+                lv = env[a]
+            except KeyError as exc:
+                raise _unbound(exc) from None
+            return f(lv, r(env))
+
+        return var_expr
+    if isinstance(right, ir.Const):
+        c = right.value
+        return lambda env: f(l(env), c)
+    if isinstance(right, ir.Var):
+        b = right.name
+
+        def expr_var(env: dict) -> Any:
+            lv = l(env)
+            try:
+                return f(lv, env[b])
+            except KeyError as exc:
+                raise _unbound(exc) from None
+
+        return expr_var
+    return lambda env: f(l(env), r(env))
+
+
+def _new_array(element: ir.ScalarType, size: Any) -> list:
+    if not isinstance(size, int) or size < 0:
+        raise KirRuntimeError(f"bad array size {size!r}")
+    return [_zero(element)] * size
+
+
+def _zero(typ: ir.Type) -> Any:
+    if isinstance(typ, ir.ScalarType):
+        if typ.kind == ir.INT:
+            return 0
+        if typ.kind == ir.FLOAT:
+            return 0.0
+        return False
+    return None
+
 
 class Interpreter:
-    """Tree-walking evaluator for a :class:`~repro.kir.ir.Module`.
+    """Closure-compiling evaluator for a :class:`~repro.kir.ir.Module`.
 
     The ``ops`` attribute accumulates the number of primitive operations
-    executed; the cost model prices kernels from these counts.
+    executed (see the module docstring for the rules); the cost model
+    prices host code from these counts.  Function bodies compile lazily,
+    once per interpreter.  Compiled code reaches the interpreter only
+    through a weak reference, so dropping the interpreter frees it
+    without waiting for the cycle collector.
     """
 
     def __init__(self, module: ir.Module) -> None:
         self.module = module
-        self.ops = 0
+        self._count = [0]
+        self._ref = weakref.ref(self)
+        #: function name -> (function, head cost, compiled body)
+        self._bodies: dict[str, tuple[ir.Function, int, Code]] = {}
+        self._compiling = ""
+
+    @property
+    def ops(self) -> int:
+        """Primitive operations executed so far."""
+        return self._count[0]
+
+    @ops.setter
+    def ops(self, value: int) -> None:
+        self._count[0] = value
 
     # -- host entry points ---------------------------------------------
 
@@ -119,283 +317,537 @@ class Interpreter:
     def run_workitem(
         self, kernel: ir.Function, args: Sequence[Any], wi: WorkItem,
         local_mem: Optional[dict[str, list]] = None,
-    ) -> Iterator[None]:
-        """Run one work-item of *kernel* as a generator.
+    ) -> None:
+        """Run one work-item of *kernel* to completion.
 
-        The generator yields once per barrier; the caller drives all items
-        of a work-group in lock-step.  ``local_mem`` maps the names of
-        ``local`` arrays (shared across the group) to their backing lists.
+        ``local_mem`` maps the names of ``local`` arrays (shared across
+        the group) to their backing lists; a ``local`` array the kernel
+        declares and ``local_mem`` lacks is allocated and added to it.
+        A kernel that reaches a barrier raises :class:`KirRuntimeError`.
         """
         env: dict[str, Any] = dict(zip(kernel.param_names(), args))
-        if local_mem:
+        if local_mem is not None:
             env.update(local_mem)
-        try:
-            yield from self._exec_block(kernel.body, env, wi, local_mem or {})
-        except _Return:
-            pass
+            env[_LOCAL] = local_mem
+        env[_WI] = wi
+        self._run_body(kernel, env)
 
     # -- function calls --------------------------------------------------
+
+    def _call_named(self, name: str, args: list[Any]) -> Any:
+        fn = self.module.functions.get(name)
+        if fn is None:
+            raise KirRuntimeError(f"call to unknown function {name!r}")
+        return self._call_function(fn, args)
 
     def _call_function(self, fn: ir.Function, args: list[Any]) -> Any:
         if len(args) != len(fn.params):
             raise KirRuntimeError(
                 f"{fn.name}: expected {len(fn.params)} args, got {len(args)}"
             )
-        env = dict(zip(fn.param_names(), args))
-        gen = self._exec_block(fn.body, env, None, {})
-        try:
-            for _ in gen:
-                raise KirRuntimeError(f"{fn.name}: barrier in helper function")
-        except _Return as r:
-            return r.value
-        return None
+        return self._run_body(fn, dict(zip(fn.param_names(), args)))
+
+    def _run_body(self, fn: ir.Function, env: dict) -> Any:
+        entry = self._bodies.get(fn.name)
+        if entry is None or entry[0] is not fn:
+            entry = self._bodies[fn.name] = self._compile_function(fn)
+        self._count[0] += entry[1]
+        signal = entry[2](env)
+        if signal is None:
+            return None
+        if signal is _BREAK or signal is _CONTINUE:
+            raise KirRuntimeError(
+                f"{fn.name}: break or continue outside a loop"
+            )
+        return signal[0]
+
+    def _compile_function(
+        self, fn: ir.Function
+    ) -> tuple[ir.Function, int, Code]:
+        self._compiling = fn.name
+        head, body, _ = self._block(fn.body)
+        return fn, head, body or _nop
 
     # -- statements --------------------------------------------------------
 
-    def _exec_block(
-        self, stmts: list[ir.Stmt], env: dict, wi: Optional[WorkItem],
-        local_mem: dict,
-    ) -> Iterator[None]:
-        for st in stmts:
-            yield from self._exec_stmt(st, env, wi, local_mem)
+    def _block(self, stmts: list[ir.Stmt]) -> tuple[int, Optional[Code], bool]:
+        """Compile *stmts* into ``(head, code, signals)``.
 
-    def _exec_stmt(
-        self, st: ir.Stmt, env: dict, wi: Optional[WorkItem], local_mem: dict
-    ) -> Iterator[None]:
-        if isinstance(st, ir.Decl):
-            self.ops += 1
-            if isinstance(st.type, ir.ArrayType):
-                if st.type.space == ir.LOCAL:
-                    # Allocated by the group driver; just bind the name.
-                    if st.name not in env:
-                        size = self._eval(st.size, env, wi)
-                        arr = self._new_array(st.type.element, size)
-                        env[st.name] = arr
-                        local_mem[st.name] = arr
-                else:
-                    size = self._eval(st.size, env, wi)
-                    env[st.name] = self._new_array(st.type.element, size)
+        The caller charges ``head`` before running ``code`` (None for an
+        empty block); ``signals`` says whether ``code`` can return a
+        control signal.  Costs of statements after one that can signal
+        are charged only once that statement completes normally.
+        """
+        head = 0
+        codes: list[Code] = []
+        last: Optional[int] = None  # index of the last statement that signals
+        pending = 0  # static cost of the statements after it
+        for st in stmts:
+            cost, code, signal = self._compile_stmt(st)
+            if last is None:
+                head += cost
             else:
-                env[st.name] = (
-                    self._eval(st.init, env, wi)
-                    if st.init is not None
-                    else _zero(st.type)
-                )
-        elif isinstance(st, ir.Assign):
-            self.ops += 1
-            env[st.name] = self._eval(st.value, env, wi)
-        elif isinstance(st, ir.Store):
-            self.ops += 1
-            arr = self._eval(st.base, env, wi)
-            idx = self._eval(st.index, env, wi)
-            val = self._eval(st.value, env, wi)
-            try:
-                if idx < 0:
-                    raise IndexError
-                arr[idx] = val
-            except IndexError:
-                raise KirRuntimeError(
-                    f"store index {idx} out of range (len {len(arr)})"
-                ) from None
-        elif isinstance(st, ir.If):
-            if self._eval(st.cond, env, wi):
-                yield from self._exec_block(st.then, env, wi, local_mem)
-            else:
-                yield from self._exec_block(st.orelse, env, wi, local_mem)
-        elif isinstance(st, ir.For):
-            i = self._eval(st.start, env, wi)
-            stop = self._eval(st.stop, env, wi)
-            step = self._eval(st.step, env, wi)
-            if step == 0:
-                raise KirRuntimeError("for loop with zero step")
-            outer = st.var in env
-            saved = env.get(st.var)
-            while (i < stop) if step > 0 else (i > stop):
-                self.ops += 2
-                env[st.var] = i
-                try:
-                    yield from self._exec_block(st.body, env, wi, local_mem)
-                except _Break:
-                    break
-                except _Continue:
-                    pass
-                i = env[st.var] + step
-            if outer:
-                env[st.var] = saved
-            else:
-                env.pop(st.var, None)
-        elif isinstance(st, ir.While):
-            while True:
-                self.ops += 1
-                if not self._eval(st.cond, env, wi):
-                    break
-                try:
-                    yield from self._exec_block(st.body, env, wi, local_mem)
-                except _Break:
-                    break
-                except _Continue:
-                    continue
-        elif isinstance(st, ir.Break):
-            raise _Break()
-        elif isinstance(st, ir.Continue):
-            raise _Continue()
-        elif isinstance(st, ir.Return):
-            value = (
-                self._eval(st.value, env, wi) if st.value is not None else None
-            )
-            raise _Return(value)
-        elif isinstance(st, ir.ExprStmt):
-            self._eval(st.expr, env, wi)
-        elif isinstance(st, ir.Barrier):
-            yield
+                pending += cost
+            codes.append(code)
+            if signal:
+                self._charge_after(codes, last, pending)
+                last, pending = len(codes) - 1, 0
+        self._charge_after(codes, last, pending)
+        signals = last is not None
+        if not codes:
+            return head, None, False
+        if len(codes) == 1:
+            return head, codes[0], signals
+        steps = tuple(codes)
+        if signals:
+
+            def block(env: dict) -> Any:
+                for step in steps:
+                    signal = step(env)
+                    if signal is not None:
+                        return signal
+                return None
+
+        elif len(steps) == 2:
+            first, second = steps
+
+            def block(env: dict) -> Any:
+                first(env)
+                second(env)
+
         else:
-            raise KirRuntimeError(f"unknown statement {type(st).__name__}")
+
+            def block(env: dict) -> Any:
+                for step in steps:
+                    step(env)
+
+        return head, block, signals
+
+    def _charge_after(
+        self, codes: list[Code], last: Optional[int], cost: int
+    ) -> None:
+        """Charge *cost* once ``codes[last]`` completes without a signal."""
+        if last is None or not cost:
+            return
+        count = self._count
+        code = codes[last]
+
+        def then_charge(env: dict) -> Any:
+            signal = code(env)
+            if signal is None:
+                count[0] += cost
+            return signal
+
+        codes[last] = then_charge
+
+    def _charged(self, cost: int, code: Optional[Code]) -> Code:
+        """*code* preceded by a charge of *cost* ops."""
+        count = self._count
+        if code is None:
+            code = _nop
+        if not cost:
+            return code
+
+        def charged(env: dict) -> Any:
+            count[0] += cost
+            return code(env)
+
+        return charged
+
+    def _compile_stmt(self, st: ir.Stmt) -> tuple[int, Code, bool]:
+        """Compile one statement into ``(static cost, code, signals)``.
+
+        Subclasses override this to replace annotated statements.
+        """
+        if isinstance(st, ir.Decl):
+            return self._decl(st)
+        if isinstance(st, ir.Assign):
+            cost, value = self._expr(st.value)
+            return 1 + cost, _bind(st.name, value), False
+        if isinstance(st, ir.Store):
+            return self._store(st)
+        if isinstance(st, ir.If):
+            return self._if(st)
+        if isinstance(st, ir.For):
+            return self._for(st)
+        if isinstance(st, ir.While):
+            return self._while(st)
+        if isinstance(st, ir.Break):
+            return 0, lambda env: _BREAK, True
+        if isinstance(st, ir.Continue):
+            return 0, lambda env: _CONTINUE, True
+        if isinstance(st, ir.Return):
+            if st.value is None:
+                return 0, lambda env: (None,), True
+            cost, value = self._expr(st.value)
+            return cost, lambda env: (value(env),), True
+        if isinstance(st, ir.ExprStmt):
+            cost, expr = self._expr(st.expr)
+
+            def expr_stmt(env: dict) -> None:
+                expr(env)
+
+            return cost, expr_stmt, False
+        if isinstance(st, ir.Barrier):
+            return 0, _fail(
+                f"{self._compiling}: barrier reached; the interpreter runs "
+                "no work-group in lock-step (barrier kernels run on "
+                "pycodegen's group generator)"
+            ), False
+        return 0, _fail(f"unknown statement {type(st).__name__}"), False
+
+    def _decl(self, st: ir.Decl) -> tuple[int, Code, bool]:
+        name = st.name
+        if isinstance(st.type, ir.ArrayType):
+            element = st.type.element
+            size_cost, size = self._expr(st.size)
+            if st.type.space != ir.LOCAL:
+
+                def private_array(env: dict) -> None:
+                    env[name] = _new_array(element, size(env))
+
+                return 1 + size_cost, private_array, False
+            count = self._count
+
+            def local_array(env: dict) -> None:
+                # Normally allocated by the group driver: then just bound.
+                if name not in env:
+                    count[0] += size_cost
+                    arr = _new_array(element, size(env))
+                    env[name] = arr
+                    local_mem = env.get(_LOCAL)
+                    if local_mem is not None:
+                        local_mem[name] = arr
+
+            return 1, local_array, False
+        if st.init is None:
+            zero = _zero(st.type)
+
+            def decl_zero(env: dict) -> None:
+                env[name] = zero
+
+            return 1, decl_zero, False
+        cost, init = self._expr(st.init)
+        return 1 + cost, _bind(name, init), False
+
+    def _store(self, st: ir.Store) -> tuple[int, Code, bool]:
+        base_cost, base = self._expr(st.base)
+        index_cost, index = self._expr(st.index)
+        value_cost, value = self._expr(st.value)
+
+        def store(env: dict) -> None:
+            arr = base(env)
+            idx = index(env)
+            val = value(env)
+            if idx >= 0:
+                try:
+                    arr[idx] = val
+                    return
+                except IndexError:
+                    pass
+            raise _out_of_range("store", idx, arr)
+
+        return 1 + base_cost + index_cost + value_cost, store, False
+
+    def _if(self, st: ir.If) -> tuple[int, Code, bool]:
+        cond_cost, cond = self._expr(st.cond)
+        then_head, then_code, then_signals = self._block(st.then)
+        else_head, else_code, else_signals = self._block(st.orelse)
+        then = self._charged(then_head, then_code)
+        if else_code is None and not else_head:
+
+            def if_(env: dict) -> Any:
+                if cond(env):
+                    return then(env)
+                return None
+
+        else:
+            orelse = self._charged(else_head, else_code)
+
+            def if_(env: dict) -> Any:
+                if cond(env):
+                    return then(env)
+                return orelse(env)
+
+        return cond_cost, if_, then_signals or else_signals
+
+    def _for(self, st: ir.For) -> tuple[int, Code, bool]:
+        start_cost, start = self._expr(st.start)
+        stop_cost, stop = self._expr(st.stop)
+        step_cost, step = self._expr(st.step)
+        head, body, signals = self._block(st.body)
+        per_iter = 2 + head
+        var = st.var
+        count = self._count
+        # A body that never rebinds the loop variable lets ``range`` step
+        # it; otherwise each step re-reads it, as C does.
+        rebinds = any(
+            isinstance(s, (ir.Assign, ir.Decl)) and s.name == var
+            for s in ir.walk_stmts(st.body)
+        )
+
+        def for_(env: dict) -> Any:
+            i = start(env)
+            end = stop(env)
+            inc = step(env)
+            if inc == 0:
+                raise KirRuntimeError("for loop with zero step")
+            outer = var in env
+            saved = env.get(var)
+            if (
+                not rebinds
+                and type(i) is int
+                and type(end) is int
+                and type(inc) is int
+            ):
+                steps = range(i, end, inc)
+                if not signals:
+                    count[0] += per_iter * len(steps)
+                    if body is not None:
+                        for v in steps:
+                            env[var] = v
+                            body(env)
+                else:
+                    for v in steps:
+                        count[0] += per_iter
+                        env[var] = v
+                        signal = body(env)
+                        if signal is not None:
+                            if signal is _BREAK:
+                                break
+                            if signal is not _CONTINUE:
+                                return signal
+            else:
+                up = inc > 0
+                while (i < end) if up else (i > end):
+                    count[0] += per_iter
+                    env[var] = i
+                    if body is not None:
+                        signal = body(env)
+                        if signal is not None:
+                            if signal is _BREAK:
+                                break
+                            if signal is not _CONTINUE:
+                                return signal
+                    i = env[var] + inc
+            if outer:
+                env[var] = saved
+            else:
+                env.pop(var, None)
+            return None
+
+        return start_cost + stop_cost + step_cost, for_, signals
+
+    def _while(self, st: ir.While) -> tuple[int, Code, bool]:
+        cond_cost, cond = self._expr(st.cond)
+        head, body_code, signals = self._block(st.body)
+        body = self._charged(head, body_code)
+        test_cost = 1 + cond_cost
+        count = self._count
+
+        def while_(env: dict) -> Any:
+            while True:
+                count[0] += test_cost
+                if not cond(env):
+                    return None
+                signal = body(env)
+                if signal is not None:
+                    if signal is _BREAK:
+                        return None
+                    if signal is not _CONTINUE:
+                        return signal
+
+        return 0, while_, signals
 
     # -- expressions -------------------------------------------------------
 
-    def _eval(self, e: ir.Expr, env: dict, wi: Optional[WorkItem]) -> Any:
-        if isinstance(e, ir.Const):
-            return e.value
-        if isinstance(e, ir.Var):
-            try:
-                return env[e.name]
-            except KeyError:
-                raise KirRuntimeError(f"unbound variable {e.name!r}") from None
-        self.ops += 1
-        if isinstance(e, ir.BinOp):
-            op = e.op
-            if op == "&&":
-                return bool(self._eval(e.left, env, wi)) and bool(
-                    self._eval(e.right, env, wi)
-                )
-            if op == "||":
-                return bool(self._eval(e.left, env, wi)) or bool(
-                    self._eval(e.right, env, wi)
-                )
-            lv = self._eval(e.left, env, wi)
-            rv = self._eval(e.right, env, wi)
-            return _binop(op, lv, rv)
-        if isinstance(e, ir.UnOp):
-            v = self._eval(e.operand, env, wi)
-            if e.op == "-":
-                return -v
-            if e.op == "!":
-                return not v
-            if e.op == "~":
-                return ~v
-            raise KirRuntimeError(f"bad unary op {e.op!r}")
-        if isinstance(e, ir.Index):
-            arr = self._eval(e.base, env, wi)
-            idx = self._eval(e.index, env, wi)
-            try:
-                if idx < 0:
-                    raise IndexError
-                return arr[idx]
-            except IndexError:
-                raise KirRuntimeError(
-                    f"load index {idx} out of range (len {len(arr)})"
-                ) from None
-        if isinstance(e, ir.Cast):
-            v = self._eval(e.operand, env, wi)
-            if e.target.kind == ir.INT:
-                return int(v)
-            if e.target.kind == ir.FLOAT:
-                return float(v)
-            return bool(v)
-        if isinstance(e, ir.Select):
-            if self._eval(e.cond, env, wi):
-                return self._eval(e.if_true, env, wi)
-            return self._eval(e.if_false, env, wi)
-        if isinstance(e, ir.Call):
-            return self._call(e, env, wi)
-        raise KirRuntimeError(f"unknown expression {type(e).__name__}")
+    def _expr(self, e: ir.Expr) -> tuple[int, Code]:
+        """Compile *e* into ``(static cost, code)``.
 
-    def _call(self, e: ir.Call, env: dict, wi: Optional[WorkItem]) -> Any:
+        ``code(env)`` returns the value and charges only the costs that
+        depend on the path taken: short-circuited operands, ``?:`` arms
+        and callee bodies.  The caller charges the static cost.
+        """
+        if isinstance(e, ir.Const):
+            value = e.value
+            return 0, lambda env: value
+        if isinstance(e, ir.Var):
+            return 0, _lookup(e.name)
+        if isinstance(e, ir.BinOp):
+            return self._binop(e)
+        if isinstance(e, ir.UnOp):
+            cost, operand = self._expr(e.operand)
+            f = _UNARY.get(e.op)
+            if f is None:
+                return 1 + cost, _fail(f"bad unary op {e.op!r}")
+            return 1 + cost, lambda env: f(operand(env))
+        if isinstance(e, ir.Index):
+            return self._load(e)
+        if isinstance(e, ir.Cast):
+            cost, operand = self._expr(e.operand)
+            kind = e.target.kind
+            convert = int if kind == ir.INT else float if kind == ir.FLOAT else bool
+            return 1 + cost, lambda env: convert(operand(env))
+        if isinstance(e, ir.Select):
+            return self._select(e)
+        if isinstance(e, ir.Call):
+            return self._call(e)
+        return 1, _fail(f"unknown expression {type(e).__name__}")
+
+    def _binop(self, e: ir.BinOp) -> tuple[int, Code]:
+        left_cost, left = self._expr(e.left)
+        right_cost, right = self._expr(e.right)
+        op = e.op
+        if op in ("&&", "||"):
+            count = self._count
+            if op == "&&":
+
+                def and_(env: dict) -> bool:
+                    if not left(env):
+                        return False
+                    count[0] += right_cost
+                    return bool(right(env))
+
+                return 1 + left_cost, and_
+
+            def or_(env: dict) -> bool:
+                if left(env):
+                    return True
+                count[0] += right_cost
+                return bool(right(env))
+
+            return 1 + left_cost, or_
+        f = _BINARY.get(op)
+        if f is None:
+            return 1 + left_cost + right_cost, _fail(f"bad binary op {op!r}")
+        return (
+            1 + left_cost + right_cost,
+            _binary(f, e.left, e.right, left, right),
+        )
+
+    def _load(self, e: ir.Index) -> tuple[int, Code]:
+        base_cost, base = self._expr(e.base)
+        index_cost, index = self._expr(e.index)
+        cost = 1 + base_cost + index_cost
+        if isinstance(e.base, ir.Var) and isinstance(e.index, ir.Var):
+            a, i = e.base.name, e.index.name
+
+            def load_var(env: dict) -> Any:
+                try:
+                    arr = env[a]
+                    idx = env[i]
+                except KeyError as exc:
+                    raise _unbound(exc) from None
+                if idx >= 0:
+                    try:
+                        return arr[idx]
+                    except IndexError:
+                        pass
+                raise _out_of_range("load", idx, arr)
+
+            return cost, load_var
+        if isinstance(e.base, ir.Var):
+            a = e.base.name
+
+            def load_expr(env: dict) -> Any:
+                try:
+                    arr = env[a]
+                except KeyError as exc:
+                    raise _unbound(exc) from None
+                idx = index(env)
+                if idx >= 0:
+                    try:
+                        return arr[idx]
+                    except IndexError:
+                        pass
+                raise _out_of_range("load", idx, arr)
+
+            return cost, load_expr
+
+        def load(env: dict) -> Any:
+            arr = base(env)
+            idx = index(env)
+            if idx >= 0:
+                try:
+                    return arr[idx]
+                except IndexError:
+                    pass
+            raise _out_of_range("load", idx, arr)
+
+        return cost, load
+
+    def _select(self, e: ir.Select) -> tuple[int, Code]:
+        cond_cost, cond = self._expr(e.cond)
+        if_true = self._charged(*self._expr(e.if_true))
+        if_false = self._charged(*self._expr(e.if_false))
+
+        def select(env: dict) -> Any:
+            if cond(env):
+                return if_true(env)
+            return if_false(env)
+
+        return 1 + cond_cost, select
+
+    def _call(self, e: ir.Call) -> tuple[int, Code]:
         name = e.name
         if name in ir.WORKITEM_BUILTINS:
-            if wi is None:
-                raise KirRuntimeError(f"{name} called outside a kernel")
-            if name == "get_work_dim":
+            return self._workitem_call(e)
+        compiled = [self._expr(a) for a in e.args]
+        cost = 1 + sum(c for c, _ in compiled)
+        args = tuple(code for _, code in compiled)
+        impl = _MATH_IMPL.get(name)
+        if impl is not None:
+
+            def math_call(env: dict) -> Any:
+                values = [a(env) for a in args]
+                try:
+                    return impl(*values)
+                except ValueError as exc:
+                    raise KirRuntimeError(f"{name}: {exc}") from None
+
+            return cost, math_call
+        interp = self._ref
+
+        def user_call(env: dict) -> Any:
+            return interp()._call_named(name, [a(env) for a in args])
+
+        return cost, user_call
+
+    def _workitem_call(self, e: ir.Call) -> tuple[int, Code]:
+        name = e.name
+        outside = f"{name} called outside a kernel"
+        if name == "get_work_dim":
+
+            def work_dim(env: dict) -> int:
+                wi = env.get(_WI)
+                if wi is None:
+                    raise KirRuntimeError(outside)
                 return wi.dim
-            d = self._eval(e.args[0], env, wi)
+
+            return 1, work_dim
+        cost, dim = self._expr(e.args[0])
+        field = _WI_FIELDS[name]
+        default = 0 if name == "get_global_id" else 1
+
+        def workitem(env: dict) -> int:
+            wi = env.get(_WI)
+            if wi is None:
+                raise KirRuntimeError(outside)
+            d = dim(env)
             if not 0 <= d < wi.dim:
-                return 0 if name.startswith("get_global_id") else 1
-            return {
-                "get_global_id": wi.gid,
-                "get_local_id": wi.lid,
-                "get_group_id": wi.group,
-                "get_global_size": wi.gsize,
-                "get_local_size": wi.lsize,
-                "get_num_groups": wi.ngroups,
-            }[name][d]
-        args = [self._eval(a, env, wi) for a in e.args]
-        if name in _MATH_IMPL:
-            try:
-                return _MATH_IMPL[name](*args)
-            except ValueError as exc:
-                raise KirRuntimeError(f"{name}: {exc}") from None
-        fn = self.module.functions.get(name)
-        if fn is None:
-            raise KirRuntimeError(f"call to unknown function {name!r}")
-        return self._call_function(fn, args)
+                return default
+            return getattr(wi, field)[d]
 
-    @staticmethod
-    def _new_array(element: ir.ScalarType, size: Any) -> list:
-        if not isinstance(size, int) or size < 0:
-            raise KirRuntimeError(f"bad array size {size!r}")
-        return [_zero(element)] * size
+        return 1 + cost, workitem
 
 
-def _zero(typ: ir.Type) -> Any:
-    if isinstance(typ, ir.ScalarType):
-        if typ.kind == ir.INT:
-            return 0
-        if typ.kind == ir.FLOAT:
-            return 0.0
-        return False
+def _nop(env: dict) -> None:
     return None
 
 
-def _binop(op: str, lv: Any, rv: Any) -> Any:
-    both_int = isinstance(lv, int) and isinstance(rv, int) and not (
-        isinstance(lv, bool) or isinstance(rv, bool)
-    )
-    if op == "+":
-        return lv + rv
-    if op == "-":
-        return lv - rv
-    if op == "*":
-        return lv * rv
-    if op == "/":
-        if both_int:
-            return c_idiv(lv, rv)
-        if rv == 0:
-            raise KirRuntimeError("float division by zero")
-        return lv / rv
-    if op == "%":
-        if both_int:
-            return c_imod(lv, rv)
-        return math.fmod(lv, rv)
-    if op == "==":
-        return lv == rv
-    if op == "!=":
-        return lv != rv
-    if op == "<":
-        return lv < rv
-    if op == "<=":
-        return lv <= rv
-    if op == ">":
-        return lv > rv
-    if op == ">=":
-        return lv >= rv
-    if op == "&":
-        return lv & rv
-    if op == "|":
-        return lv | rv
-    if op == "^":
-        return lv ^ rv
-    if op == "<<":
-        return lv << rv
-    if op == ">>":
-        return lv >> rv
-    raise KirRuntimeError(f"bad binary op {op!r}")
+def _bind(name: str, value: Code) -> Code:
+    def bind(env: dict) -> None:
+        env[name] = value(env)
+
+    return bind
+

@@ -50,6 +50,7 @@ def assigned_scalars(stmts: list[kir.Stmt]) -> set[str]:
 
 
 def written_array_names(stmts: list[kir.Stmt]) -> set[str]:
+    """Names of arrays stored into (``a[i] = ...``) anywhere in *stmts*."""
     out: set[str] = set()
     for st in kir.walk_stmts(list(stmts)):
         if isinstance(st, kir.Store) and isinstance(st.base, kir.Var):
@@ -58,6 +59,7 @@ def written_array_names(stmts: list[kir.Stmt]) -> set[str]:
 
 
 def read_array_names(stmts: list[kir.Stmt]) -> set[str]:
+    """Names of arrays loaded from (``... = a[i]``) anywhere in *stmts*."""
     out: set[str] = set()
     for st in kir.walk_stmts(list(stmts)):
         for e in kir.walk_exprs(st):

@@ -70,6 +70,15 @@ class LoopRegion:
 
 @dataclass
 class DataRegion:
+    """One ``acc data`` directive: the arrays it keeps on the device.
+
+    While the annotated statement runs, the listed arrays stay resident
+    and enclosed loops reuse their buffers.  ``copy``/``copyin`` arrays
+    are written to the device on entry, ``copy``/``copyout`` read back
+    on exit.  An array already present (an enclosing region's) is
+    neither copied nor released by this one.
+    """
+
     pragma: Pragma
     stmt: kir.Stmt
     copy: list[str] = field(default_factory=list)
@@ -105,6 +114,16 @@ def _ibin(op: str, left: kir.Expr, right: kir.Expr) -> kir.BinOp:
 
 
 class AccCompiler:
+    """Parse and typecheck annotated kernel-C and compile its pragmas.
+
+    :meth:`compile` attaches every directive to the statement that
+    follows it and returns an :class:`AccModule`: the host program, the
+    generated device kernels, and each region's decision.  With
+    ``allow_calls`` (OpenMP host compilation) user calls inside parallel
+    regions are accepted; otherwise they raise
+    :class:`~repro.errors.AccUnsupportedError`.
+    """
+
     def __init__(self, source: str, allow_calls: bool = False) -> None:
         self.source = source
         self.allow_calls = allow_calls

@@ -1,8 +1,9 @@
 """Execution engine for pragma-compiled programs.
 
-Host statements run through the kir reference interpreter (sequential C
-semantics, priced at a fixed host throughput); when execution reaches an
-annotated loop the engine dispatches the generated kernel on the target
+Host statements run on the kir reference interpreter (sequential C
+semantics, priced at a fixed host throughput).  When the interpreter
+compiles an annotated loop, it compiles a dispatch in its place: each
+time execution reaches the loop, the generated kernel runs on the target
 device instead, moving data per the directive's data clauses.
 
 Data movement semantics match OpenACC:
@@ -11,17 +12,19 @@ Data movement semantics match OpenACC:
   to the device on entry and its outputs back on exit — *every time the
   region executes*;
 * inside a ``data`` region, the listed arrays are device-resident for
-  the region's dynamic extent and the enclosed loops reuse the buffers.
+  the region's dynamic extent and the enclosed loops reuse the buffers;
+  a nested ``data`` region finds them present and leaves them to the
+  region that created them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from ..errors import AccError
 from .. import kcache, kir
-from ..kir.interp import Interpreter
+from ..kir.interp import Code, Interpreter
 from ..opencl import Buffer, CommandQueue, Context, CostLedger, Device
 from ..opencl.dispatch import dispatch_kernel_ns
 from ..opencl.platform import find_device
@@ -42,6 +45,14 @@ _REDUCE_COMBINE = {
 
 @dataclass
 class AccResult:
+    """Outcome of one :meth:`AccProgram.run`.
+
+    ``value`` is the host function's return value, ``ledger`` the priced
+    costs (host code charged as ``host_ops / HOST_OPS_PER_NS``),
+    ``host_ops`` the interpreter's op count for the sequential host code,
+    and ``report`` the pragma compiler's per-region decisions.
+    """
+
     value: Any
     ledger: CostLedger
     host_ops: int
@@ -53,7 +64,11 @@ class AccResult:
 
 
 class _AccExecutor(Interpreter):
-    """Interpreter that intercepts annotated statements."""
+    """Interpreter that compiles annotated statements into device work.
+
+    The compiled code reaches the executor through ``self._ref``, a weak
+    reference, so no reference cycle outlives a run.
+    """
 
     def __init__(
         self,
@@ -78,21 +93,41 @@ class _AccExecutor(Interpreter):
 
     # -- interception ---------------------------------------------------
 
-    def _exec_stmt(self, st, env, wi, local_mem) -> Iterator[None]:
+    def _compile_stmt(self, st: kir.Stmt) -> tuple[int, Code, bool]:
         loop = self.acc.loop_regions.get(id(st))
         if loop is not None and loop.kind != "sequential":
-            self._run_region(loop, env)
-            return
-            yield  # pragma: no cover - keeps this a generator
+            return 0, self._region_code(loop), False
+        cost, code, signals = super()._compile_stmt(st)
         data = self.acc.data_regions.get(id(st))
-        if data is not None:
-            self._enter_data(data, env)
+        if data is None:
+            return cost, code, signals
+        executor = self._ref
+
+        def data_region(env: dict) -> Any:
+            created = executor()._enter_data(data, env)
             try:
-                yield from super()._exec_stmt(st, env, wi, local_mem)
+                return code(env)
             finally:
-                self._exit_data(data, env)
-            return
-        yield from super()._exec_stmt(st, env, wi, local_mem)
+                executor()._exit_data(created)
+
+        return cost, data_region, signals
+
+    def _region_code(self, region: LoopRegion) -> Code:
+        stmt = region.stmt
+        assert isinstance(stmt, kir.For)
+        headers = [stmt.start, stmt.stop]
+        if region.collapse:
+            inner = stmt.body[0]
+            assert isinstance(inner, kir.For)
+            headers += [inner.start, inner.stop]
+        # Each bound charges its own ops when the region evaluates it.
+        bounds = tuple(self._charged(*self._expr(e)) for e in headers)
+        executor = self._ref
+
+        def parallel_region(env: dict) -> None:
+            executor()._run_region(region, env, bounds)
+
+        return parallel_region
 
     # -- data regions ------------------------------------------------------
 
@@ -102,7 +137,15 @@ class _AccExecutor(Interpreter):
             raise AccError(f"data clause names non-array {name!r}")
         return value
 
-    def _enter_data(self, region: DataRegion, env: dict) -> None:
+    def _enter_data(
+        self, region: DataRegion, env: dict
+    ) -> list[tuple[list, Buffer, bool]]:
+        """Make the region's arrays present; return what this call created.
+
+        An array already present (an enclosing region's) is reused, not
+        copied: OpenACC "present" semantics.
+        """
+        created = []
         for name in region.copy + region.copyin + region.copyout:
             host = self._array(name, env)
             if id(host) in self.resident:
@@ -111,26 +154,27 @@ class _AccExecutor(Interpreter):
             if name not in region.copyout:
                 self.queue.enqueue_write_buffer(buf, host)
             self.resident[id(host)] = buf
+            readback = name in region.copy or name in region.copyout
+            created.append((host, buf, readback))
+        return created
 
-    def _exit_data(self, region: DataRegion, env: dict) -> None:
-        for name in region.copy + region.copyout:
-            host = self._array(name, env)
-            buf = self.resident.get(id(host))
-            if buf is not None:
+    def _exit_data(self, created: list[tuple[list, Buffer, bool]]) -> None:
+        """Undo exactly what the matching :meth:`_enter_data` created."""
+        for host, buf, readback in created:
+            if readback:
                 self.queue.enqueue_read_buffer(buf, host)
-        for name in region.copy + region.copyin + region.copyout:
-            host = self._array(name, env)
-            buf = self.resident.pop(id(host), None)
-            if buf is not None and not buf.released:
+        for host, buf, _ in created:
+            del self.resident[id(host)]
+            if not buf.released:
                 buf.release()
 
     # -- parallel regions ---------------------------------------------------
 
-    def _run_region(self, region: LoopRegion, env: dict) -> None:
-        stmt = region.stmt
-        assert isinstance(stmt, kir.For)
-        start = self._eval(stmt.start, env, None)
-        stop = self._eval(stmt.stop, env, None)
+    def _run_region(
+        self, region: LoopRegion, env: dict, bounds: tuple[Code, ...]
+    ) -> None:
+        start = bounds[0](env)
+        stop = bounds[1](env)
         trip = max(0, stop - start)
         if trip == 0:
             return
@@ -160,10 +204,8 @@ class _AccExecutor(Interpreter):
             args.append(stop)
             gsz = trip
             if region.collapse:
-                inner = stmt.body[0]
-                assert isinstance(inner, kir.For)
-                start1 = self._eval(inner.start, env, None)
-                stop1 = self._eval(inner.stop, env, None)
+                start1 = bounds[2](env)
+                stop1 = bounds[3](env)
                 args.extend([start1, stop1])
                 gsz = trip * max(0, stop1 - start1)
             lsz = min(region.local_size, self.device.spec.max_work_group_size)

@@ -300,30 +300,31 @@ class ScheduleTimeline:
         sum exact: the bucket values sum to precisely ``elapsed_ns``.
         """
         with self._lock:
-            segs = [
-                (Fraction(s), Fraction(e), kind)
-                for s, e, kind in self.segments
-                if e > s
-            ]
-            elapsed = Fraction(max(self._max_end, self._host_pos))
-        totals = {segment: Fraction(0) for segment in TIMELINE_SEGMENTS}
+            segs = [(s, e, kind) for s, e, kind in self.segments if e > s]
+            elapsed = max(self._max_end, self._host_pos)
         if elapsed <= 0:
-            return totals
-        deltas: dict[Fraction, dict[str, int]] = {}
+            return {segment: Fraction(0) for segment in TIMELINE_SEGMENTS}
+        # Sweep over the float boundaries themselves.  Every float is a
+        # dyadic rational, so on the common power-of-two denominator of
+        # all boundaries each one is an exact integer tick count: interval
+        # widths sum in integers, and one Fraction per bucket is exact.
+        deltas: dict[float, dict[str, int]] = {0.0: {}, elapsed: {}}
         for start, end, kind in segs:
-            deltas.setdefault(start, {}).setdefault(kind, 0)
-            deltas[start][kind] += 1
-            deltas.setdefault(end, {}).setdefault(kind, 0)
-            deltas[end][kind] -= 1
-        deltas.setdefault(Fraction(0), {})
-        deltas.setdefault(elapsed, {})
+            at_start = deltas.setdefault(start, {})
+            at_start[kind] = at_start.get(kind, 0) + 1
+            at_end = deltas.setdefault(end, {})
+            at_end[kind] = at_end.get(kind, 0) - 1
         bounds = sorted(deltas)
+        ratios = [b.as_integer_ratio() for b in bounds]
+        denominator = max(d for _, d in ratios)
+        ticks = [n * (denominator // d) for n, d in ratios]
+        widths = dict.fromkeys(TIMELINE_SEGMENTS, 0)
         active: dict[str, int] = {}
-        for lo, hi in zip(bounds, bounds[1:]):
+        for j, lo in enumerate(bounds):
+            if lo >= elapsed:  # ``elapsed`` is itself a boundary
+                break
             for kind, delta in deltas[lo].items():
                 active[kind] = active.get(kind, 0) + delta
-            if lo >= elapsed:
-                break
             kinds = [k for k, depth in active.items() if depth > 0]
             if not kinds:
                 bucket = "idle"
@@ -331,8 +332,11 @@ class ScheduleTimeline:
                 bucket = kinds[0]
             else:
                 bucket = "overlap"
-            totals[bucket] += min(hi, elapsed) - lo
-        return totals
+            widths[bucket] += ticks[j + 1] - ticks[j]
+        return {
+            bucket: Fraction(width, denominator)
+            for bucket, width in widths.items()
+        }
 
     def attribution(self) -> dict[str, float]:
         """:meth:`attribution_exact` as floats, for reporting."""

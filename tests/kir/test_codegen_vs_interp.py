@@ -145,8 +145,7 @@ def test_kernel_range_matches_interp_per_item():
     y2 = [1.0] * n
     for i in range(n):
         wi = kir.WorkItem((i,), (i % 4,), (i // 4,), (n,), (4,))
-        for _ in interp.run_workitem(fn, [x, y2, 2.0, n], wi):
-            pass
+        interp.run_workitem(fn, [x, y2, 2.0, n], wi)
     assert y1 == y2
     assert y1[3] == 2.0 * 3 + 1
 

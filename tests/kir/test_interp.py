@@ -170,8 +170,7 @@ class TestWorkItems:
         out = [0] * 4
         for i in range(4):
             wi = kir.WorkItem((i,), (i % 2,), (i // 2,), (4,), (2,))
-            for _ in interp.run_workitem(fn, [out], wi):
-                pass
+            interp.run_workitem(fn, [out], wi)
         assert out == [0, 1, 2, 3]
 
     def test_workitem_builtin_outside_kernel_raises(self):
@@ -185,3 +184,25 @@ class TestWorkItems:
         module.add(fn)
         with pytest.raises(KirRuntimeError):
             kir.Interpreter(module).call("f", [])
+
+
+class TestBarriers:
+    def test_kernel_barrier_raises(self):
+        # The interpreter runs one work-item at a time; lock-step
+        # barrier execution is pycodegen's group generator's job.
+        fn = _fn(
+            "k",
+            [kir.Param("out", kir.ArrayType(kir.INT_T))],
+            kir.VOID,
+            [
+                kir.Store(kir.Var("out"), kir.Const(0), kir.Const(1)),
+                kir.Barrier(),
+                kir.Store(kir.Var("out"), kir.Const(1), kir.Const(1)),
+            ],
+            is_kernel=True,
+        )
+        out = [0, 0]
+        wi = kir.WorkItem((0,), (0,), (0,), (1,), (1,))
+        with pytest.raises(KirRuntimeError, match="barrier"):
+            kir.Interpreter(_module(fn)).run_workitem(fn, [out], wi)
+        assert out == [1, 0]

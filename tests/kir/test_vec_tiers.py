@@ -110,8 +110,7 @@ def interp_buffers(source, kernel, scalars, arrays, gsz, lsz):
         lid = tuple(g % l for g, l in zip(gid, lsz))
         grp = tuple(g // l for g, l in zip(gid, lsz))
         wi = kir.WorkItem(gid, lid, grp, tuple(gsz), tuple(lsz))
-        for _ in interp.run_workitem(fn, out, wi):
-            pass
+        interp.run_workitem(fn, out, wi)
     return [a for a in out if isinstance(a, list)]
 
 

@@ -1,9 +1,12 @@
 """Pragma compiler + executor behaviour."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import AccUnsupportedError
-from repro.openacc import AccProgram, compile_acc
+from repro.openacc import AccProgram, compile_acc, runtime
 
 
 class TestRegionClassification:
@@ -169,6 +172,32 @@ class TestExecution:
         assert result.ledger.bytes_from_device == 64 * 4
         assert result.ledger.kernel_launches == 5
 
+    def test_nested_data_region_keeps_outer_buffer_present(self):
+        # The inner region finds ``a`` already present: it must neither
+        # read it back nor release the outer region's buffer on exit.
+        program = AccProgram(
+            """
+            void steps(__global float *a, int n) {
+                #pragma acc data copy(a[0:n])
+                for (int r = 0; r < 2; r++) {
+                    #pragma acc data copy(a)
+                    for (int j = 0; j < 1; j++) {
+                        #pragma acc parallel loop copy(a) gang vector
+                        for (int i = 0; i < n; i++) { a[i] = a[i] + 1.0; }
+                    }
+                    #pragma acc parallel loop copy(a) gang vector
+                    for (int i = 0; i < n; i++) { a[i] = a[i] + 1.5; }
+                }
+            }
+            """
+        )
+        a = [0.0] * 8
+        result = program.run("steps", [a, 8])
+        assert a == [5.0] * 8
+        assert result.ledger.bytes_to_device == 8 * 4
+        assert result.ledger.bytes_from_device == 8 * 4
+        assert result.ledger.kernel_launches == 4
+
     def test_region_without_data_clause_copies_every_launch(self):
         program = AccProgram(
             """
@@ -248,3 +277,38 @@ class TestExecution:
         AccProgram(source, "GPU").run("doubleit", [a1, 4])
         AccProgram(source, "CPU").run("doubleit", [a2, 4])
         assert a1 == a2 == [2.0, 4.0, 6.0, 8.0]
+
+
+def test_executor_is_freed_without_the_cycle_collector(monkeypatch):
+    # Compiled closures reach the executor through a weak reference, so
+    # a run's executor, its compiled code and its buffers are freed by
+    # reference counting as soon as the run returns.
+    executors = []
+    init = runtime._AccExecutor.__init__
+
+    def capture(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        executors.append(weakref.ref(self))
+
+    monkeypatch.setattr(runtime._AccExecutor, "__init__", capture)
+    program = AccProgram(
+        """
+        float f(__global float *a, int n) {
+            float s = 0.0;
+            #pragma acc data copy(a[0:n])
+            for (int r = 0; r < 2; r++) {
+                #pragma acc parallel loop copy(a) gang vector
+                for (int i = 0; i < n; i++) { a[i] = a[i] + 1.0; }
+            }
+            for (int i = 0; i < n; i++) { s = s + a[i]; }
+            return s;
+        }
+        """
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        assert program.run("f", [[0.0] * 8, 8]).value == 16.0
+        assert len(executors) == 1 and executors[0]() is None
+    finally:
+        gc.enable()

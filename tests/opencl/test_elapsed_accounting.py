@@ -53,6 +53,43 @@ def _kernel(queue, ns, reads=(), writes=(), wait_for=None):
     )
 
 
+def _fraction_sweep(timeline):
+    """Reference attribution: the sweep keyed by Fraction boundaries."""
+    segs = [
+        (Fraction(s), Fraction(e), kind)
+        for s, e, kind in timeline.segments
+        if e > s
+    ]
+    elapsed = Fraction(timeline.elapsed_ns)
+    totals = {segment: Fraction(0) for segment in TIMELINE_SEGMENTS}
+    if elapsed <= 0:
+        return totals
+    deltas = {}
+    for start, end, kind in segs:
+        deltas.setdefault(start, {}).setdefault(kind, 0)
+        deltas[start][kind] += 1
+        deltas.setdefault(end, {}).setdefault(kind, 0)
+        deltas[end][kind] -= 1
+    deltas.setdefault(Fraction(0), {})
+    deltas.setdefault(elapsed, {})
+    bounds = sorted(deltas)
+    active = {}
+    for lo, hi in zip(bounds, bounds[1:]):
+        for kind, delta in deltas[lo].items():
+            active[kind] = active.get(kind, 0) + delta
+        if lo >= elapsed:
+            break
+        kinds = [k for k, depth in active.items() if depth > 0]
+        if not kinds:
+            bucket = "idle"
+        elif len(kinds) == 1:
+            bucket = kinds[0]
+        else:
+            bucket = "overlap"
+        totals[bucket] += min(hi, elapsed) - lo
+    return totals
+
+
 class TestAttributionProperties:
     """sum(attribution) == elapsed, exactly, for arbitrary timelines."""
 
@@ -94,6 +131,35 @@ class TestAttributionProperties:
         assert timeline.attribution() == {
             kind: float(value) for kind, value in exact.items()
         }
+
+    @settings(deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.tuples(st.just("serial"),
+                      st.sampled_from(("transfer", "compute", "api")),
+                      st.floats(min_value=0.0, max_value=500.0)),
+            st.tuples(st.just("place"),
+                      st.sampled_from(("transfer", "compute", "api")),
+                      st.tuples(st.floats(min_value=0.0, max_value=2000.0),
+                                st.floats(min_value=0.0, max_value=500.0))),
+            st.tuples(st.just("wait"), st.just("api"),
+                      st.floats(min_value=0.0, max_value=2500.0)),
+        ),
+        max_size=40,
+    ))
+    def test_attribution_matches_fraction_keyed_sweep(self, script):
+        """Fractional float boundaries give the very Fractions that a
+        sweep keyed by Fraction boundaries gives."""
+        timeline = ScheduleTimeline()
+        for op, kind, arg in script:
+            if op == "serial":
+                timeline.serial_advance(kind, arg)
+            elif op == "place":
+                start, dur = arg
+                timeline.place(kind, start, start + dur)
+            else:
+                timeline.host_wait(arg)
+        assert timeline.attribution_exact() == _fraction_sweep(timeline)
 
     @settings(deadline=None, max_examples=40)
     @given(
