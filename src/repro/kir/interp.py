@@ -209,7 +209,9 @@ def _lookup(name: str) -> Code:
     return var
 
 
-def _binary(f: Callable, left: ir.Expr, right: ir.Expr, l: Code, r: Code) -> Code:
+def _binary(
+    f: Callable, left: ir.Expr, right: ir.Expr, l: Code, r: Code
+) -> Code:
     """``f(left, right)``, reading ``Var`` and ``Const`` operands inline."""
     if isinstance(left, ir.Var):
         a = left.name
@@ -685,8 +687,7 @@ class Interpreter:
             return self._load(e)
         if isinstance(e, ir.Cast):
             cost, operand = self._expr(e.operand)
-            kind = e.target.kind
-            convert = int if kind == ir.INT else float if kind == ir.FLOAT else bool
+            convert = {ir.INT: int, ir.FLOAT: float}.get(e.target.kind, bool)
             return 1 + cost, lambda env: convert(operand(env))
         if isinstance(e, ir.Select):
             return self._select(e)

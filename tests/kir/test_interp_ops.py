@@ -111,7 +111,9 @@ class TestStatements:
             kir.Decl("y", INT, init=B("+", V("x"), C(1))),  # 2
             kir.Decl("z", INT),  # 1
             kir.Assign("z", B("*", V("y"), V("y"))),  # 2
-            kir.Store(V("arr"), B("+", V("x"), C(1)), B("*", V("z"), C(2))),  # 3
+            kir.Store(
+                V("arr"), B("+", V("x"), C(1)), B("*", V("z"), C(2))
+            ),  # 3
             kir.Return(kir.Index(V("arr"), C(4))),  # 1
         ]
         assert _ops(body) == (32, 9)
